@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use gd_backend::compile;
 use gd_chipwhisperer::{
-    full_grid, run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams,
+    full_grid, AttackOutcome, AttackSpec, AttemptRunner, Device, FaultModel, GlitchParams,
     SuccessCheck,
 };
 use gd_firmware::SUCCESS_MARKER;
@@ -105,13 +105,15 @@ pub fn budget_for(device: &Device) -> u64 {
 
 /// Runs one Table VI cell: every attack shape × the full 99×99 grid,
 /// threading NVM (the delay seed) across attempts like a real campaign
-/// against one physical board.
+/// against one physical board. The board boots once; each attempt
+/// restores its power-on state and re-applies the threaded NVM.
 pub fn run_cell(device: &Device, model: &FaultModel, attack: Attack) -> DefenseCell {
     let spec = AttackSpec {
         success: SuccessCheck::HaltWithR0(SUCCESS_MARKER),
         max_cycles: budget_for(device),
     };
     let grid = full_grid();
+    let mut runner = AttemptRunner::new(device);
     let mut cell = DefenseCell::default();
     let mut nvm: Vec<u8> = Vec::new();
     let mut boot = 0u64;
@@ -123,8 +125,7 @@ pub fn run_cell(device: &Device, model: &FaultModel, attack: Attack) -> DefenseC
                 continue; // cannot fault; the board would boot and idle
             }
             let params = GlitchParams { ext_offset: start, repeat, width, offset };
-            let attempt = run_attack(device, model, params, boot, &spec, Some(&mut nvm));
-            match attempt.outcome {
+            match runner.run(model, params, boot, &spec, Some(&mut nvm)) {
                 AttackOutcome::Success => cell.successes += 1,
                 AttackOutcome::Detected => cell.detections += 1,
                 AttackOutcome::Crash | AttackOutcome::Reset => cell.crashes += 1,
@@ -217,6 +218,7 @@ pub fn unprotected_cell(module: &Module, model: &FaultModel, attack: Attack) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gd_chipwhisperer::run_attack;
 
     #[test]
     fn attack_shapes_match_the_papers_totals() {
@@ -250,6 +252,39 @@ mod tests {
             }
         }
         cell
+    }
+
+    /// The boot-once runner `run_cell` uses equals boot-per-attempt
+    /// `run_attack` over a slice of a Table VI cell, NVM (the delay seed)
+    /// threaded through both.
+    #[test]
+    fn the_attempt_runner_matches_run_attack_with_nvm_threaded() {
+        let model = FaultModel::default();
+        let device = hardened_device(&gd_firmware::while_not_a(), Defenses::ALL);
+        let spec = AttackSpec {
+            success: SuccessCheck::HaltWithR0(SUCCESS_MARKER),
+            max_cycles: budget_for(&device),
+        };
+        let mut runner = AttemptRunner::new(&device);
+        let (mut nvm_oracle, mut nvm_runner) = (Vec::new(), Vec::new());
+        let mut boot = 0u64;
+        let mut outcomes = std::collections::BTreeSet::new();
+        for (start, repeat) in [(0, 1), (8, 10)] {
+            let points = full_grid().into_iter().filter(|&(w, o)| model.severity(w, o) > 0.0);
+            for (width, offset) in points.step_by(12) {
+                boot += 1;
+                let params = GlitchParams { ext_offset: start, repeat, width, offset };
+                let oracle =
+                    run_attack(&device, &model, params, boot, &spec, Some(&mut nvm_oracle));
+                let outcome = runner.run(&model, params, boot, &spec, Some(&mut nvm_runner));
+                assert_eq!(outcome, oracle.outcome, "{params:?}");
+                assert_eq!(nvm_runner, nvm_oracle, "{params:?}");
+                assert_eq!(runner.pipe().cycle(), oracle.pipe.cycle(), "{params:?}");
+                assert_eq!(runner.pipe().emu.cpu, oracle.pipe.emu.cpu, "{params:?}");
+                outcomes.insert(format!("{outcome:?}"));
+            }
+        }
+        assert!(boot > 200 && outcomes.len() >= 2, "{boot} attempts, outcomes {outcomes:?}");
     }
 
     #[test]

@@ -51,8 +51,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gd_obs::Timer;
@@ -538,7 +538,7 @@ impl ShardDispatcher for LocalDispatcher {
         let failed: Mutex<Option<CampaignError>> = Mutex::new(None);
         let inflight: Mutex<BTreeMap<u32, Instant>> = Mutex::new(BTreeMap::new());
         let done: Mutex<BTreeSet<u32>> = Mutex::new(BTreeSet::new());
-        let stop = AtomicBool::new(false);
+        let stop = Stop::default();
 
         let run_one = |&(index, work): &(u32, ShardWork)| {
             if failed.lock().unwrap().is_some() {
@@ -652,7 +652,7 @@ impl ShardDispatcher for LocalDispatcher {
                     }
                 }
             };
-            stop.store(true, Ordering::Relaxed);
+            stop.set();
             out
         });
         fanned?;
@@ -712,6 +712,28 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     "opaque panic payload".into()
 }
 
+/// The fan-out's end, signalled to the watchdog so it exits at once
+/// instead of finishing its poll interval: a campaign never waits out a
+/// watchdog sleep.
+#[derive(Default)]
+struct Stop {
+    done: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Stop {
+    fn set(&self) {
+        *self.done.lock().unwrap() = true;
+        self.wake.notify_all();
+    }
+
+    /// Sleeps up to `timeout` or until [`Stop::set`]; true once set.
+    fn wait(&self, timeout: Duration) -> bool {
+        let done = self.done.lock().unwrap();
+        *self.wake.wait_timeout_while(done, timeout, |done| !*done).unwrap().0
+    }
+}
+
 /// Polls the in-flight map and flags attempts exceeding `deadline`.
 /// Detection only — shard work is pure compute with no safe kill point —
 /// but a stall becomes visible in logs and metrics instead of looking
@@ -719,14 +741,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// campaign.
 fn watchdog_loop(
     inflight: &Mutex<BTreeMap<u32, Instant>>,
-    stop: &AtomicBool,
+    stop: &Stop,
     deadline: Duration,
     metrics: &EngineMetrics,
 ) {
     let poll = (deadline / 2).clamp(Duration::from_millis(1), Duration::from_millis(200));
     let mut reported: BTreeSet<u32> = BTreeSet::new();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
+    while !stop.wait(poll) {
         for (&shard, started) in inflight.lock().unwrap().iter() {
             let elapsed = started.elapsed();
             if elapsed > deadline && reported.insert(shard) {
@@ -907,6 +928,22 @@ mod tests {
         let mut spec = CampaignSpec::fig2();
         spec.shards = Some((0, 3));
         spec
+    }
+
+    /// The watchdog is woken when the fan-out ends: a campaign whose
+    /// shards take milliseconds does not wait out a poll interval of the
+    /// default deadline's watchdog (200 ms).
+    #[test]
+    fn a_short_campaign_does_not_wait_for_the_watchdog() {
+        let mut spec = CampaignSpec::table1();
+        spec.workload = crate::spec::Workload::Table1 { cycles: (0, 1) };
+        spec.shards = Some((0, 1));
+        let engine = Engine::ephemeral();
+        assert_eq!(engine.watchdog_deadline, DEFAULT_WATCHDOG_DEADLINE);
+        let t = Instant::now();
+        engine.run(&spec).unwrap();
+        let elapsed = t.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "campaign took {elapsed:?}");
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub use model::{FaultModel, GlitchParams, TriggerMode, RESIDUE_POOL};
 pub use rng::{hash_words, splitmix64, Rng};
 pub use scan::{
     full_grid, run_attack, scan_cell, scan_grid, scan_grid_serial, scan_multi, scan_multi_cell,
-    scan_single, AttackOutcome, AttackSpec, Attempt, CellCounts, MultiCell, SuccessCheck,
+    scan_single, AttackOutcome, AttackSpec, Attempt, AttemptRunner, CellCounts, MultiCell,
+    SuccessCheck,
 };
 pub use search::{find_reliable_params, SearchReport, SECONDS_PER_ATTEMPT};

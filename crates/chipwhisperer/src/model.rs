@@ -99,6 +99,33 @@ impl FaultModel {
         }
     }
 
+    /// The occurrence hash at relative glitch cycle `g` when a fault
+    /// happens there at all, given the point's `severity`.
+    ///
+    /// Fault occurrence is parameter-deterministic: the same (w, o, g)
+    /// point behaves consistently across attempts (a real "sweet spot").
+    /// It depends on the seed, width, offset and cycle only — never on
+    /// the boot nonce or the instruction in flight.
+    fn occurrence(&self, params: &GlitchParams, g: u64, severity: f64) -> Option<u64> {
+        if severity == 0.0 {
+            return None;
+        }
+        let occur =
+            hash_words(&[self.seed, params.width as u64 & 0xFF, params.offset as u64 & 0xFF, g]);
+        let occur_roll = (occur >> 8) as f64 / (1u64 << 56) as f64;
+        (occur_roll < severity * self.peak_fault_rate).then_some(occur)
+    }
+
+    /// Whether `params` can fault at any of its glitched cycles.
+    ///
+    /// When this is `false`, [`FaultModel::faults_at`] returns nothing for
+    /// every cycle `params` glitches, whatever the boot or window, so an
+    /// attempt with `params` *is* the unglitched run.
+    pub fn may_fault(&self, params: &GlitchParams) -> bool {
+        let severity = self.severity(params.width, params.offset);
+        params.cycles().any(|g| self.occurrence(params, g, severity).is_some())
+    }
+
     /// The faults induced at relative glitch cycle `g` for the pipeline
     /// window `w` (which covers `g`). `boot` distinguishes repeated
     /// attempts with identical parameters (mask noise), mirroring the
@@ -111,17 +138,9 @@ impl FaultModel {
         boot: u64,
     ) -> Vec<StageFault> {
         let severity = self.severity(params.width, params.offset);
-        if severity == 0.0 {
+        let Some(occur) = self.occurrence(params, g, severity) else {
             return Vec::new();
-        }
-        // Fault occurrence is parameter-deterministic: the same (w, o, g)
-        // point behaves consistently across attempts (a real "sweet spot").
-        let occur =
-            hash_words(&[self.seed, params.width as u64 & 0xFF, params.offset as u64 & 0xFF, g]);
-        let occur_roll = (occur >> 8) as f64 / (1u64 << 56) as f64;
-        if occur_roll >= severity * self.peak_fault_rate {
-            return Vec::new();
-        }
+        };
         // The fault *type* depends on the spot and on which instruction
         // (address) is in flight — two glitches with identical parameters
         // hitting different code decorrelate, which is what makes
@@ -296,6 +315,21 @@ mod tests {
         let w = dummy_window();
         for g in 0..50 {
             assert!(m.faults_at(&GlitchParams::single(g as u32, 0, 0), g, &w, 0).is_empty());
+        }
+    }
+
+    /// `may_fault` is exactly "some glitched cycle yields faults", for any
+    /// window and boot.
+    #[test]
+    fn may_fault_matches_faults_at() {
+        let m = FaultModel::default();
+        let w = dummy_window();
+        for (width, offset) in crate::scan::full_grid() {
+            for (ext_offset, repeat) in [(0, 1), (7, 1), (3, 12)] {
+                let p = GlitchParams { ext_offset, repeat, width, offset };
+                let faults = p.cycles().any(|g| !m.faults_at(&p, g, &w, 9).is_empty());
+                assert_eq!(m.may_fault(&p), faults, "{p:?}");
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 
 use std::collections::BTreeMap;
 
+use gd_backend::layout;
 use gd_emu::StopReason;
-use gd_pipeline::{RunEnd, Window};
+use gd_pipeline::{Pipeline, PipelineSnapshot, RunEnd, Window};
 use gd_thumb::Reg;
 
 use crate::device::Device;
@@ -59,6 +60,9 @@ pub struct Attempt {
 ///
 /// `boot` both seeds per-attempt mask noise and, when `nvm` is provided,
 /// threads the non-volatile state (delay seed) from attempt to attempt.
+///
+/// This boots a new pipeline per attempt and is the differential oracle
+/// for [`AttemptRunner`], which boots once and restores per attempt.
 pub fn run_attack(
     device: &Device,
     model: &FaultModel,
@@ -76,12 +80,17 @@ pub fn run_attack(
     if let Some(state) = nvm {
         *state = Device::snapshot_nvm(&pipe);
     }
+    Attempt { outcome: classify(device, &pipe, end, spec), pipe }
+}
+
+/// Judges a finished attempt.
+fn classify(device: &Device, pipe: &Pipeline, end: RunEnd, spec: &AttackSpec) -> AttackOutcome {
     let detected = device
         .detect_flag()
         .and_then(|addr| pipe.emu.mem.peek(addr, 4).ok())
         .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) != 0)
         .unwrap_or(false);
-    let outcome = match end {
+    match end {
         RunEnd::Stop { reason: StopReason::Bkpt(n), .. } => match spec.success {
             SuccessCheck::Bkpt(want) if n == want => AttackOutcome::Success,
             SuccessCheck::HaltWithR0(marker) if n == 0 && pipe.emu.cpu.reg(Reg::R0) == marker => {
@@ -106,8 +115,87 @@ pub fn run_attack(
                 AttackOutcome::NoEffect
             }
         }
-    };
-    Attempt { outcome, pipe }
+    }
+}
+
+/// Runs glitch attempts against one device without booting per attempt:
+/// the device boots once, and every attempt restores the power-on
+/// snapshot, which copies back only the memory pages the previous
+/// attempt stored to.
+///
+/// Each attempt equals [`run_attack`] on the same inputs, outcome and
+/// final pipeline state alike; the differential tests hold the two
+/// together.
+#[derive(Debug)]
+pub struct AttemptRunner<'d> {
+    device: &'d Device,
+    pipe: Pipeline,
+    power_on: PipelineSnapshot,
+    /// NVM contents at power-on, for attempts without threaded state.
+    power_on_nvm: Vec<u8>,
+    /// Whether threaded NVM was loaded since the last power-on reload.
+    /// Loader writes survive restores, so it must be undone explicitly.
+    nvm_loaded: bool,
+}
+
+impl<'d> AttemptRunner<'d> {
+    /// Boots `device` and snapshots its power-on state.
+    pub fn new(device: &'d Device) -> AttemptRunner<'d> {
+        let pipe = device.boot();
+        let power_on = pipe.snapshot();
+        let power_on_nvm = Device::snapshot_nvm(&pipe);
+        AttemptRunner { device, pipe, power_on, power_on_nvm, nvm_loaded: false }
+    }
+
+    /// Runs one glitch attempt; same contract as [`run_attack`],
+    /// including NVM threading through `nvm`.
+    pub fn run(
+        &mut self,
+        model: &FaultModel,
+        params: GlitchParams,
+        boot: u64,
+        spec: &AttackSpec,
+        nvm: Option<&mut Vec<u8>>,
+    ) -> AttackOutcome {
+        self.power_on(nvm.as_deref().map(Vec::as_slice));
+        let mut injector = model.injector(params, boot);
+        let end = self.pipe.run_with(spec.max_cycles, |w: &Window| injector(w));
+        if let Some(state) = nvm {
+            *state = Device::snapshot_nvm(&self.pipe);
+        }
+        classify(self.device, &self.pipe, end, spec)
+    }
+
+    /// Runs the device with no glitch at all: the attempt every
+    /// parameter set that cannot fault reduces to.
+    pub fn run_unglitched(&mut self, spec: &AttackSpec) -> AttackOutcome {
+        self.power_on(None);
+        let end = self.pipe.run(spec.max_cycles);
+        classify(self.device, &self.pipe, end, spec)
+    }
+
+    /// The device state after the last attempt.
+    pub fn pipe(&self) -> &Pipeline {
+        &self.pipe
+    }
+
+    /// Resets to the power-on state, as [`Device::boot_with_nvm`] would
+    /// boot with `nvm` (fresh NVM when `None` or empty).
+    fn power_on(&mut self, nvm: Option<&[u8]>) {
+        self.pipe.restore(&self.power_on);
+        let nvm = match nvm {
+            Some(state) if !state.is_empty() => {
+                self.nvm_loaded = true;
+                state
+            }
+            _ if self.nvm_loaded => {
+                self.nvm_loaded = false;
+                &self.power_on_nvm
+            }
+            _ => return,
+        };
+        self.pipe.emu.mem.load(layout::NVM_BASE, nvm).expect("nvm snapshot fits");
+    }
 }
 
 /// Counts per outcome, plus the Table I-style post-mortem histogram of a
@@ -201,23 +289,80 @@ pub fn scan_single(
     scan_grid(device, model, cycles, 1, spec, post_reg)
 }
 
-/// Grid points per worker chunk: one full width row of the 99×99 scan.
-/// In-region attempts each boot the device, so a row is tens of
-/// microseconds at minimum — coarse enough to amortize dispatch, fine
-/// enough to split a scan across any worker count.
-const GRID_CHUNK: usize = 99;
+/// Simulated attempts per worker chunk. Each chunk boots one
+/// [`AttemptRunner`] (about one attempt's worth of work) and then pays
+/// only a restore per attempt, so a chunk of this size amortizes the boot
+/// while still splitting a cell's few hundred simulated points across
+/// workers.
+const ATTEMPT_CHUNK: usize = 32;
+
+/// How a cell's grid splits before any attempt runs.
+struct CellPlan {
+    /// Points outside the violation region (severity zero).
+    out_of_region: u64,
+    /// In-region points whose occurrence roll fails at every glitched
+    /// cycle: each attempt is the unglitched run.
+    unglitched: u64,
+    /// The remaining points with their boot numbers; only these are
+    /// simulated.
+    simulated: Vec<(u64, GlitchParams)>,
+}
+
+impl CellPlan {
+    /// Splits the full grid for `params(width, offset)`, numbering boots
+    /// from `boot_base + 1` in grid order.
+    fn new(
+        model: &FaultModel,
+        boot_base: u64,
+        params: impl Fn(i8, i8) -> GlitchParams,
+    ) -> CellPlan {
+        let mut plan = CellPlan { out_of_region: 0, unglitched: 0, simulated: Vec::new() };
+        for (j, (width, offset)) in full_grid().into_iter().enumerate() {
+            let params = params(width, offset);
+            if model.severity(width, offset) == 0.0 {
+                plan.out_of_region += 1;
+            } else if !model.may_fault(&params) {
+                plan.unglitched += 1;
+            } else {
+                plan.simulated.push((boot_base + j as u64 + 1, params));
+            }
+        }
+        plan
+    }
+
+    /// Runs every simulated attempt through one [`AttemptRunner`] per
+    /// worker chunk; `tally` folds one finished attempt into a chunk's
+    /// partial result.
+    fn simulate<C: Default + Send>(
+        &self,
+        device: &Device,
+        model: &FaultModel,
+        spec: &AttackSpec,
+        tally: impl Fn(&mut C, AttackOutcome, &Pipeline) + Sync,
+    ) -> Vec<C> {
+        gd_exec::par_map_chunks(&self.simulated, ATTEMPT_CHUNK, |chunk| {
+            let mut runner = AttemptRunner::new(device);
+            let mut partial = C::default();
+            for &(boot, params) in chunk.items {
+                let outcome = runner.run(model, params, boot, spec, None);
+                tally(&mut partial, outcome, runner.pipe());
+            }
+            partial
+        })
+    }
+}
 
 /// Scans the grid with a repeated (long) glitch of `repeat` cycles
 /// starting at each cycle in `starts`.
 ///
-/// The width×offset grid at each start cycle is fanned out across
-/// [`gd_exec`] workers. Every attempt seeds its per-boot noise from a
-/// *position-derived* boot counter (`start_index × grid + point_index`),
-/// reproducing the serial implementation's sequential numbering exactly,
-/// so the parallel scan is bit-for-bit identical to [`scan_grid_serial`]
-/// at any `GD_THREADS`. Campaigns that thread NVM state between attempts
-/// carry cross-attempt dependencies and deliberately do **not** route
-/// through here (see `defense`/`search` callers).
+/// Each start cycle is one [`scan_cell`]. Every attempt seeds its
+/// per-boot noise from a *position-derived* boot counter
+/// (`start_index × grid + point_index`), reproducing the serial
+/// implementation's sequential numbering exactly, so the parallel scan is
+/// bit-for-bit identical to [`scan_grid_serial`] at any `GD_THREADS`.
+/// Campaigns that thread NVM state between attempts carry cross-attempt
+/// dependencies and deliberately do **not** route through here (see
+/// `defense`/`search` callers).
 pub fn scan_grid(
     device: &Device,
     model: &FaultModel,
@@ -242,6 +387,15 @@ pub fn scan_grid(
 /// [`scan_grid`] is simply this function mapped over its start range, so
 /// a distributed driver (the campaign engine shards at cell granularity)
 /// produces bytes identical to the monolithic scan.
+///
+/// Only points that can fault are simulated. Out-of-region points count
+/// as clean attempts, as in [`scan_grid_serial`]. An in-region point
+/// whose occurrence roll fails at every glitched cycle
+/// ([`FaultModel::may_fault`]) gets no fault from the injector in any
+/// window, whatever its boot number, so its attempt *is* the unglitched
+/// run: that run executes once per cell and its outcome and post-mortem
+/// register count for every such point. The rest fan out across
+/// [`gd_exec`] workers, each chunk on one boot-once [`AttemptRunner`].
 pub fn scan_cell(
     device: &Device,
     model: &FaultModel,
@@ -251,26 +405,30 @@ pub fn scan_cell(
     spec: &AttackSpec,
     post_reg: Option<Reg>,
 ) -> CellCounts {
-    let grid = full_grid();
-    let boot_base = start_index * grid.len() as u64;
-    let partials = gd_exec::par_map_chunks(&grid, GRID_CHUNK, |chunk| {
-        let mut cell = CellCounts::default();
-        for (j, &(width, offset)) in chunk.items.iter().enumerate() {
-            let boot = boot_base + (chunk.start + j) as u64 + 1;
-            // Out-of-region points cannot fault: count them as clean
-            // attempts without booting (a 20× scan speedup).
-            if model.severity(width, offset) == 0.0 {
-                cell.record(AttackOutcome::NoEffect, None);
-                continue;
-            }
-            let params = GlitchParams { ext_offset: start, repeat, width, offset };
-            let attempt = run_attack(device, model, params, boot, spec, None);
-            let reg = post_reg.map(|r| attempt.pipe.emu.cpu.reg(r));
-            cell.record(attempt.outcome, reg);
-        }
-        cell
+    let boot_base = start_index * full_grid().len() as u64;
+    let plan = CellPlan::new(model, boot_base, |width, offset| GlitchParams {
+        ext_offset: start,
+        repeat,
+        width,
+        offset,
     });
     let mut cell = CellCounts::default();
+    // Out-of-region points cannot fault: count them as clean attempts
+    // without running them.
+    for _ in 0..plan.out_of_region {
+        cell.record(AttackOutcome::NoEffect, None);
+    }
+    if plan.unglitched > 0 {
+        let mut runner = AttemptRunner::new(device);
+        let outcome = runner.run_unglitched(spec);
+        let reg = post_reg.map(|r| runner.pipe().emu.cpu.reg(r));
+        for _ in 0..plan.unglitched {
+            cell.record(outcome, reg);
+        }
+    }
+    let partials = plan.simulate(device, model, spec, |c: &mut CellCounts, outcome, pipe| {
+        c.record(outcome, post_reg.map(|r| pipe.emu.cpu.reg(r)));
+    });
     for partial in &partials {
         cell.merge(partial);
     }
@@ -334,9 +492,9 @@ impl MultiCell {
 /// Runs the multi-glitch scan. The firmware must raise the trigger before
 /// each loop; reaching the second trigger proves the first glitch worked.
 ///
-/// Parallelized like [`scan_grid`]: the grid fans out across workers
-/// with position-derived boot numbering, and per-chunk cells merge in
-/// input order, so output matches the serial loop exactly.
+/// Parallelized like [`scan_grid`]: each cycle is one
+/// [`scan_multi_cell`] with position-derived boot numbering, and counts
+/// merge additively, so output matches the serial loop exactly.
 pub fn scan_multi(
     device: &Device,
     model: &FaultModel,
@@ -353,7 +511,8 @@ pub fn scan_multi(
 
 /// One cell of a multi-glitch scan, with the same position-derived boot
 /// numbering contract as [`scan_cell`]: `cycle_index` is the cell's
-/// position within the enclosing scan.
+/// position within the enclosing scan. Points that cannot fault take the
+/// unglitched run's outcome and trigger count, as in [`scan_cell`].
 pub fn scan_multi_cell(
     device: &Device,
     model: &FaultModel,
@@ -361,29 +520,28 @@ pub fn scan_multi_cell(
     cycle_index: u64,
     spec: &AttackSpec,
 ) -> MultiCell {
-    let grid = full_grid();
-    let boot_base = cycle_index * grid.len() as u64;
-    let partials = gd_exec::par_map_chunks(&grid, GRID_CHUNK, |chunk| {
-        let mut cell = MultiCell { attempts: 0, partial: 0, full: 0 };
-        for (j, &(width, offset)) in chunk.items.iter().enumerate() {
-            let boot = boot_base + (chunk.start + j) as u64 + 1;
-            cell.attempts += 1;
-            if model.severity(width, offset) == 0.0 {
-                continue;
-            }
-            let params = GlitchParams::single(cycle, width, offset);
-            let attempt = run_attack(device, model, params, boot, spec, None);
-            let triggers = attempt.pipe.trigger_cycles().len();
-            match attempt.outcome {
-                AttackOutcome::Success => cell.full += 1,
-                _ if triggers >= 2 => cell.partial += 1,
-                _ => {}
-            }
-        }
-        cell
-    });
-    let mut cell = MultiCell { attempts: 0, partial: 0, full: 0 };
-    for partial in &partials {
+    let boot_base = cycle_index * full_grid().len() as u64;
+    let plan =
+        CellPlan::new(model, boot_base, |width, offset| GlitchParams::single(cycle, width, offset));
+    let mut cell = MultiCell {
+        attempts: plan.out_of_region + plan.unglitched + plan.simulated.len() as u64,
+        partial: 0,
+        full: 0,
+    };
+    let record = |c: &mut MultiCell, outcome, pipe: &Pipeline| match outcome {
+        AttackOutcome::Success => c.full += 1,
+        _ if pipe.trigger_cycles().len() >= 2 => c.partial += 1,
+        _ => {}
+    };
+    if plan.unglitched > 0 {
+        let mut runner = AttemptRunner::new(device);
+        let outcome = runner.run_unglitched(spec);
+        let mut baseline = MultiCell::default();
+        record(&mut baseline, outcome, runner.pipe());
+        cell.partial += baseline.partial * plan.unglitched;
+        cell.full += baseline.full * plan.unglitched;
+    }
+    for partial in &plan.simulate(device, model, spec, record) {
         cell.merge(partial);
     }
     cell
@@ -474,6 +632,18 @@ mod tests {
             ser.push((cycle, cell));
         }
         assert_eq!(par, ser);
+    }
+
+    /// At glitch cycle 0, only 212 of the 1,628 in-region points can
+    /// fault; the rest are the unglitched run.
+    #[test]
+    fn the_cell_plan_simulates_only_points_that_can_fault() {
+        let model = FaultModel::default();
+        let plan = CellPlan::new(&model, 0, |w, o| GlitchParams::single(0, w, o));
+        assert_eq!(plan.simulated.len(), 212);
+        assert_eq!(plan.unglitched + plan.simulated.len() as u64, 1_628);
+        assert_eq!(plan.out_of_region + 1_628, 9_801);
+        assert!(plan.simulated.iter().all(|(_, p)| model.may_fault(p)));
     }
 
     #[test]

@@ -526,11 +526,12 @@ impl Emu {
 
     /// Restores a [`Snapshot`] taken from this emulator.
     ///
-    /// Register state is always restored; region contents are only copied
-    /// back when the emulated program stored to memory since the snapshot
-    /// (tracked by [`Memory::write_epoch`]). Loader-style writes via
-    /// [`Memory::load`] are deliberately *not* tracked — the sweep loop
-    /// exploits this by re-poking the same target halfword every trial.
+    /// Register state is always restored; region contents are copied back
+    /// page by page, only where the emulated program stored since the
+    /// last restore to this snapshot (see [`Memory::restore`]).
+    /// Loader-style writes via [`Memory::load`] are deliberately *not*
+    /// tracked — the sweep loop re-pokes the same target halfword after
+    /// every restore instead.
     ///
     /// # Panics
     ///

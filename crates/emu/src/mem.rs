@@ -5,6 +5,7 @@
 //! from unmapped memory become *Bad Fetch*, and so on.
 
 use core::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Access permissions for a [`Region`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,6 +87,11 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Log2 of the dirty-tracking page size: 256-byte pages. Aligned
+/// accesses (at most 4 bytes) never straddle a page.
+const PAGE_SHIFT: u32 = 8;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
 /// One mapped memory region.
 #[derive(Debug, Clone)]
 pub struct Region {
@@ -93,6 +99,9 @@ pub struct Region {
     base: u32,
     perms: Perms,
     data: Vec<u8>,
+    /// One bit per page stored to since the last [`Memory::restore`]
+    /// (empty until the first store).
+    dirty: Vec<u64>,
 }
 
 impl Region {
@@ -123,6 +132,30 @@ impl Region {
 
     fn contains(&self, addr: u32) -> bool {
         addr >= self.base && u64::from(addr) < u64::from(self.base) + self.data.len() as u64
+    }
+
+    /// Marks the page holding byte offset `i` as stored to. The bitmap
+    /// is allocated on the first store: regions of short-lived emulators
+    /// that are never restored (one boot per trial) skip the allocation.
+    fn mark(&mut self, i: usize) {
+        let page = i >> PAGE_SHIFT;
+        if self.dirty.is_empty() {
+            self.dirty = vec![0; self.data.len().div_ceil(PAGE_SIZE).div_ceil(64)];
+        }
+        self.dirty[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Copies every dirty page back from `pristine` and clears the bitmap.
+    fn restore_dirty(&mut self, pristine: &[u8]) {
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE_SIZE;
+                let end = (start + PAGE_SIZE).min(self.data.len());
+                self.data[start..end].copy_from_slice(&pristine[start..end]);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -161,14 +194,23 @@ impl std::error::Error for MapError {}
 pub struct Memory {
     regions: Vec<Region>,
     write_epoch: u64,
+    /// Id of the snapshot this memory was last restored to (0: none).
+    /// Contents equal that snapshot everywhere except on dirty pages and
+    /// bytes written by the loader since.
+    restored_to: u64,
 }
 
 /// A copy of every region's contents, created by [`Memory::snapshot`].
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
+    /// Process-unique, never 0.
+    id: u64,
     data: Vec<Vec<u8>>,
     write_epoch: u64,
 }
+
+/// Source of [`MemSnapshot`] ids.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Memory {
     /// An empty memory map.
@@ -211,7 +253,7 @@ impl Memory {
                 return Err(MapError { msg: format!("region `{name}` overlaps `{}`", r.name) });
             }
         }
-        self.regions.push(Region { name: name.to_owned(), base, perms, data });
+        self.regions.push(Region { name: name.to_owned(), base, perms, data, dirty: Vec::new() });
         Ok(())
     }
 
@@ -230,9 +272,10 @@ impl Memory {
     ///
     /// Copies one region-sized chunk at a time rather than scanning the
     /// region list per byte — firmware loads run once per emulator boot,
-    /// which the sweep engines put on their hot path. Loader writes do
-    /// not advance [`Memory::write_epoch`]; like [`Memory::peek`], this
-    /// is host-side access, not emulated-program activity.
+    /// which the sweep engines put on their hot path. Loader writes
+    /// neither advance [`Memory::write_epoch`] nor mark pages dirty for
+    /// [`Memory::restore`]; like [`Memory::peek`], this is host-side
+    /// access, not emulated-program activity.
     ///
     /// # Errors
     ///
@@ -257,8 +300,9 @@ impl Memory {
 
     /// A counter advanced by every emulated store ([`Memory::write8`] /
     /// [`Memory::write16`] / [`Memory::write32`]). Loader-style writes
-    /// ([`Memory::load`]) are not counted. [`Memory::restore`] uses it to
-    /// skip copying region contents after store-free runs.
+    /// ([`Memory::load`]) are not counted. [`Memory::restore`] rolls it
+    /// back to the snapshot's value, and skips the dirty-page scan when a
+    /// run since the last restore stored nothing.
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch
     }
@@ -266,6 +310,7 @@ impl Memory {
     /// Copies every region's contents for later [`Memory::restore`].
     pub fn snapshot(&self) -> MemSnapshot {
         MemSnapshot {
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
             data: self.regions.iter().map(|r| r.data.clone()).collect(),
             write_epoch: self.write_epoch,
         }
@@ -273,20 +318,34 @@ impl Memory {
 
     /// Rolls region contents back to a snapshot of this memory map.
     ///
-    /// When no emulated store happened since the snapshot (the write
-    /// epoch is unchanged), the contents are known clean and the copy is
-    /// skipped entirely.
+    /// Every emulated store marks its 256-byte page dirty. When this
+    /// memory was last restored to the same snapshot, only the pages
+    /// stored to since are copied back, so a trial's reset costs what it
+    /// wrote; otherwise every region is copied. Loader writes
+    /// ([`Memory::load`]) are host-side and untracked: a restore reverts
+    /// them only where it copies (a full restore, or a page also stored
+    /// to), so callers that poke through the loader re-poke after every
+    /// restore.
     ///
     /// # Panics
     ///
     /// Panics if regions were mapped or resized since the snapshot.
     pub fn restore(&mut self, snap: &MemSnapshot) {
-        if self.write_epoch == snap.write_epoch {
-            return;
-        }
         assert_eq!(self.regions.len(), snap.data.len(), "memory map changed since snapshot");
-        for (region, data) in self.regions.iter_mut().zip(&snap.data) {
-            region.data.copy_from_slice(data);
+        if self.restored_to == snap.id {
+            // The epoch is back at the snapshot's after every restore and
+            // only stores advance it: unchanged means nothing is dirty.
+            if self.write_epoch != snap.write_epoch {
+                for (region, data) in self.regions.iter_mut().zip(&snap.data) {
+                    region.restore_dirty(data);
+                }
+            }
+        } else {
+            for (region, data) in self.regions.iter_mut().zip(&snap.data) {
+                region.data.copy_from_slice(data);
+                region.dirty.fill(0);
+            }
+            self.restored_to = snap.id;
         }
         self.write_epoch = snap.write_epoch;
     }
@@ -298,14 +357,16 @@ impl Memory {
     /// Returns a [`MemFault`] if any byte falls outside mapped memory.
     pub fn peek(&self, addr: u32, len: u32) -> Result<Vec<u8>, MemFault> {
         let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let a = addr.wrapping_add(i);
+        while out.len() < len as usize {
+            let a = addr.wrapping_add(out.len() as u32);
             let region = self.region_at(a).ok_or(MemFault {
                 addr: a,
                 access: Access::Read,
                 kind: FaultKind::Unmapped,
             })?;
-            out.push(region.data[(a - region.base) as usize]);
+            let start = (a - region.base) as usize;
+            let n = (region.data.len() - start).min(len as usize - out.len());
+            out.extend_from_slice(&region.data[start..start + n]);
         }
         Ok(out)
     }
@@ -376,7 +437,9 @@ impl Memory {
     /// Returns a [`MemFault`] for unmapped or protected addresses.
     pub fn write8(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
         let r = self.access(addr, 1, Access::Write)?;
-        r.data[(addr - r.base) as usize] = value;
+        let i = (addr - r.base) as usize;
+        r.data[i] = value;
+        r.mark(i);
         self.write_epoch += 1;
         Ok(())
     }
@@ -391,6 +454,7 @@ impl Memory {
         let r = self.access(addr, 2, Access::Write)?;
         let i = (addr - r.base) as usize;
         r.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        r.mark(i);
         self.write_epoch += 1;
         Ok(())
     }
@@ -405,6 +469,7 @@ impl Memory {
         let r = self.access(addr, 4, Access::Write)?;
         let i = (addr - r.base) as usize;
         r.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        r.mark(i);
         self.write_epoch += 1;
         Ok(())
     }

@@ -334,8 +334,13 @@ where
 mod tests {
     use super::*;
 
-    /// `GD_THREADS` is process-global; tests that mutate it serialize here.
+    /// `GD_THREADS` is process-global: tests that mutate it, and tests
+    /// whose fan-outs read it, serialize here.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    fn env_guard() -> std::sync::MutexGuard<'static, ()> {
+        ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     /// Serial reference for the differential assertions below.
     fn serial_map_chunks<T, R>(
@@ -352,6 +357,7 @@ mod tests {
 
     #[test]
     fn results_are_input_ordered() {
+        let _guard = env_guard();
         let items: Vec<u32> = (0..10_000).collect();
         let out = par_map(&items, |&x| x * 2 + 1);
         let expect: Vec<u32> = items.iter().map(|&x| x * 2 + 1).collect();
@@ -360,6 +366,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
+        let _guard = env_guard();
         let out: Vec<u32> = par_map(&[], |&x: &u32| x);
         assert!(out.is_empty());
         let out: Vec<u64> = par_map_chunks(&[] as &[u32], 8, |c| c.items.len() as u64);
@@ -368,6 +375,7 @@ mod tests {
 
     #[test]
     fn chunk_boundaries_partition_exactly() {
+        let _guard = env_guard();
         for len in [1usize, 2, 7, 8, 9, 63, 64, 65, 1000] {
             for chunk in [1usize, 2, 3, 8, 64, 1024] {
                 let items: Vec<usize> = (0..len).collect();
@@ -387,6 +395,7 @@ mod tests {
 
     #[test]
     fn matches_serial_reference_for_chunked_sums() {
+        let _guard = env_guard();
         let items: Vec<u64> = (0..4_099).map(|x| x * 37 % 1_013).collect();
         let f = |c: &Chunk<'_, u64>| (c.start as u64) ^ c.items.iter().sum::<u64>();
         assert_eq!(par_map_chunks(&items, 128, f), serial_map_chunks(&items, 128, f));
@@ -394,7 +403,7 @@ mod tests {
 
     #[test]
     fn gd_threads_one_is_equivalent() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let saved = std::env::var("GD_THREADS").ok();
         std::env::set_var("GD_THREADS", "1");
         let items: Vec<u32> = (0..513).collect();
@@ -409,7 +418,7 @@ mod tests {
 
     #[test]
     fn threads_parses_env_var() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let saved = std::env::var("GD_THREADS").ok();
         std::env::set_var("GD_THREADS", "3");
         assert_eq!(threads(), 3);
@@ -423,7 +432,7 @@ mod tests {
 
     #[test]
     fn invalid_gd_threads_is_rejected_loudly() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let saved = std::env::var("GD_THREADS").ok();
         for bad in ["0", "not-a-number", "", "-2", "1.5"] {
             std::env::set_var("GD_THREADS", bad);
@@ -453,7 +462,7 @@ mod tests {
 
     #[test]
     fn with_threads_overrides_and_restores() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let saved = std::env::var("GD_THREADS").ok();
         std::env::set_var("GD_THREADS", "3");
         assert_eq!(threads(), 3);
@@ -476,7 +485,7 @@ mod tests {
 
     #[test]
     fn serialized_scopes_force_and_restore_the_serial_path() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let metrics = exec_metrics();
         let serial0 = metrics.serial_fallbacks.get();
         let items: Vec<u32> = (0..64).collect();
@@ -496,6 +505,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_to_caller() {
+        let _guard = env_guard();
         let items: Vec<u32> = (0..1_000).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
             par_map(&items, |&x| {
@@ -512,6 +522,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_serially_and_correctly() {
+        let _guard = env_guard();
         let outer: Vec<u32> = (0..16).collect();
         let out = par_map(&outer, |&x| {
             let inner: Vec<u32> = (0..x + 1).collect();
@@ -523,7 +534,7 @@ mod tests {
 
     #[test]
     fn fan_out_metrics_accumulate() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        let _guard = env_guard();
         let metrics = exec_metrics();
         let (chunks0, serial0) = (metrics.chunks.get(), metrics.serial_fallbacks.get());
         let items: Vec<u32> = (0..64).collect();
@@ -543,6 +554,7 @@ mod tests {
 
     #[test]
     fn many_more_chunks_than_workers() {
+        let _guard = env_guard();
         let items: Vec<u64> = (0..10_007).collect();
         let sums = par_map_chunks(&items, 3, |c| c.items.iter().sum::<u64>());
         assert_eq!(sums.len(), 10_007usize.div_ceil(3));

@@ -29,5 +29,7 @@
 mod pipeline;
 mod timing;
 
-pub use pipeline::{Pipeline, RunEnd, StageFault, Window, FETCH_DEPTH, NVM_RANGE, TRIGGER_ADDR};
+pub use pipeline::{
+    Pipeline, PipelineSnapshot, RunEnd, StageFault, Window, FETCH_DEPTH, NVM_RANGE, TRIGGER_ADDR,
+};
 pub use timing::Timing;

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gd_emu::{Emu, Fault, LoadOverride, PredecodedImage, Slot, StepOutcome, StopReason};
+use gd_emu::{Emu, Fault, LoadOverride, PredecodedImage, Slot, Snapshot, StepOutcome, StopReason};
 use gd_thumb::Instr;
 
 use crate::timing::Timing;
@@ -94,6 +94,17 @@ pub struct Pipeline {
     pending_fetch: VecDeque<(usize, u16)>,
     retired: u64,
     predecode: Option<Arc<PredecodedImage>>,
+}
+
+/// A point-in-time copy of a [`Pipeline`]'s run state, created by
+/// [`Pipeline::snapshot`] and consumed by [`Pipeline::restore`].
+#[derive(Debug, Clone)]
+pub struct PipelineSnapshot {
+    emu: Snapshot,
+    cycle: u64,
+    retired: u64,
+    trigger_cycles: Vec<u64>,
+    pending_fetch: VecDeque<(usize, u16)>,
 }
 
 impl Pipeline {
@@ -273,6 +284,35 @@ impl Pipeline {
                 Ok(Some(RunEnd::Stop { reason: *reason, addr: *addr }))
             }
         }
+    }
+
+    /// Captures the run state for later [`Pipeline::restore`]: the
+    /// emulator, cycle and retired counts, trigger events, and in-flight
+    /// fetch corruption. Configuration ([`Pipeline::timing`] and the
+    /// predecoded table) is not part of it.
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        PipelineSnapshot {
+            emu: self.emu.snapshot(),
+            cycle: self.cycle,
+            retired: self.retired,
+            trigger_cycles: self.trigger_cycles.clone(),
+            pending_fetch: self.pending_fetch.clone(),
+        }
+    }
+
+    /// Rolls the run state back to a [`PipelineSnapshot`] of this
+    /// pipeline; memory is restored page by page (see [`Emu::restore`]).
+    /// The predecoded table stays attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory map changed shape since the snapshot.
+    pub fn restore(&mut self, snap: &PipelineSnapshot) {
+        self.emu.restore(&snap.emu);
+        self.cycle = snap.cycle;
+        self.retired = snap.retired;
+        self.trigger_cycles.clone_from(&snap.trigger_cycles);
+        self.pending_fetch.clone_from(&snap.pending_fetch);
     }
 
     /// Forgets past trigger events.
@@ -459,6 +499,46 @@ mod tests {
         });
         assert_eq!(p.emu.cpu.reg(gd_thumb::Reg::R2), 0x08, "bus residue");
         assert_eq!(p.emu.cpu.reg(gd_thumb::Reg::R4), 0, "skipped write-back");
+    }
+
+    /// A snapshot taken with a fetch corruption still in flight, after
+    /// the trigger and a store, replays the rest of the run exactly.
+    #[test]
+    fn restore_replays_a_run_exactly() {
+        let src = "
+            ldr r0, =0x48000014
+            ldr r2, =0x20000000
+            movs r1, #1
+            str r1, [r0]
+            str r1, [r2]
+            movs r3, #3
+            movs r4, #4
+            str r4, [r2, #4]
+            bkpt #0
+        ";
+        let mut p = boot(src);
+        let mut glitch = |w: &Window| {
+            if w.since_trigger == Some(0) {
+                return vec![StageFault::CorruptFetch { and_mask: 0xFF00 }];
+            }
+            Vec::new()
+        };
+        // Step to just after the glitch window: the corruption is queued.
+        while p.pending_fetch.is_empty() {
+            assert_eq!(p.step_with(&mut glitch), Ok(None));
+        }
+        let snap = p.snapshot();
+        let state =
+            |p: &Pipeline| (p.cycle(), p.retired(), p.trigger_cycles().to_vec(), p.emu.cpu.clone());
+        let at_snap = state(&p);
+        let first = p.run(100);
+        let end = state(&p);
+        assert_eq!(p.emu.cpu.reg(gd_thumb::Reg::R4), 0, "the fetch glitch landed");
+        p.restore(&snap);
+        assert_eq!(state(&p), at_snap);
+        assert_eq!(p.emu.mem.read32(0x2000_0004).unwrap(), 0, "the store is rolled back");
+        assert_eq!(p.run(100), first);
+        assert_eq!(state(&p), end);
     }
 
     #[test]
