@@ -176,7 +176,8 @@ fn bench_table1(h: &Harness) -> Json {
 
 /// Multifault hot path: the enumeration/pruning pass over every
 /// registry model, one first-order shard (the single-bit transient
-/// flips), and one second-order pair bucket — plus the campaign's
+/// flips), and one second-order pair bucket through the fork walk and
+/// through the from-snapshot reference — plus the campaign's
 /// deterministic pruning rates as exact-match metrics, so the committed
 /// trajectory also gates the redundancy analysis itself (rates must
 /// reproduce bit-for-bit and stay above zero).
@@ -184,6 +185,7 @@ fn bench_multifault(h: &Harness) -> Json {
     let campaign = gd_faultsim::boot_campaign();
     let image = &campaign.image;
     let cfg = campaign.cfg;
+    let (mut fork, mut reference) = (None, None);
     let stages = vec![
         h.measure("prune/enumerate", || {
             let sites = gd_faultsim::sites(image, cfg, &gd_faultsim::SCOPE_FUNCS);
@@ -196,7 +198,10 @@ fn bench_multifault(h: &Harness) -> Json {
                 .sum::<u64>()
         }),
         h.measure("shard/order1_xor1t", || gd_faultsim::order1_shard(0)),
-        h.measure("shard/order2_bucket", || gd_faultsim::order2_shard(0)),
+        h.measure("shard/order2_bucket", || fork = Some(gd_faultsim::order2_shard(0))),
+        h.measure("shard/order2_reference", || {
+            reference = Some(gd_faultsim::order2_shard_reference(0));
+        }),
     ];
     for m in &stages {
         print_measurement(m);
@@ -205,11 +210,18 @@ fn bench_multifault(h: &Harness) -> Json {
     for model in 0..campaign.per_model.len() {
         order1.merge(&campaign.order1_stats(model));
     }
-    let (_, bucket0) = gd_faultsim::order2_shard(0);
+    let (fork, reference) = (fork.expect("stage ran"), reference.expect("stage ran"));
+    assert_eq!(fork, reference, "the fork walk and the reference disagree on bucket 0");
+    let bucket0 = fork.1;
     trajectory::doc_with_metrics(
         "multifault",
         &stages,
-        &[],
+        &[Speedup {
+            name: "order2_fork",
+            baseline: "shard/order2_reference",
+            fast: "shard/order2_bucket",
+            min_milli: Some(1500),
+        }],
         &[
             Metric {
                 name: "prune/order1_rate",

@@ -148,6 +148,7 @@ fn table1_served_over_http_matches_the_committed_results() {
         "# TYPE gd_faultsim_pruned_total counter",
         "# TYPE gd_faultsim_simulated_total counter",
         "# TYPE gd_faultsim_outcomes_total counter",
+        "# TYPE gd_faultsim_pair_steps_total counter",
         "# TYPE gd_ingest_images_total counter",
         "# TYPE gd_ingest_text_bytes_total counter",
         "# TYPE gd_ingest_extents_total counter",
@@ -166,6 +167,8 @@ fn table1_served_over_http_matches_the_committed_results() {
         r#"gd_faultsim_candidates_total{model="xor1.t"}"#,
         r#"gd_faultsim_pruned_total{model="pairs"}"#,
         r#"gd_faultsim_outcomes_total{model="skip.t",outcome="Success"}"#,
+        r#"gd_faultsim_pair_steps_total{kind="shared"}"#,
+        r#"gd_faultsim_pair_steps_total{kind="executed"}"#,
     ] {
         assert!(metrics.contains(series), "missing {series:?} in:\n{metrics}");
     }

@@ -5,7 +5,7 @@ use core::fmt;
 
 use gd_thumb::{is_32bit_prefix, thumb_expand_imm_c, AluOp, Instr, Reg, ShiftOp, WideDpOp, Width};
 
-use crate::mem::{Access, MemFault, MemSnapshot, Memory};
+use crate::mem::{Access, MemDelta, MemFault, MemSnapshot, Memory};
 use crate::predecode::{classify, PredecodedImage, Slot};
 use crate::Cpu;
 
@@ -296,6 +296,20 @@ pub struct Snapshot {
     injections: Vec<Injection>,
 }
 
+/// A delta snapshot of an [`Emu`]: registers, PC, step count, load
+/// override and injections, plus only the memory pages stored to since
+/// the last [`Emu::restore`]. Created by [`Emu::fork`] and replayed over
+/// the snapshot it is relative to by [`Emu::resume`].
+#[derive(Debug, Clone)]
+pub struct Fork {
+    cpu: Cpu,
+    load_override: Option<LoadOverride>,
+    pc: u32,
+    steps: u64,
+    mem: MemDelta,
+    injections: Vec<Injection>,
+}
+
 impl Emu {
     /// A fresh emulator with an empty memory map.
     pub fn new() -> Emu {
@@ -546,6 +560,40 @@ impl Emu {
         self.mem.restore(&snap.mem);
         self.injections.clear();
         self.injections.extend_from_slice(&snap.injections);
+    }
+
+    /// Captures the state reached since the last [`Emu::restore`] as a
+    /// [`Fork`] relative to that restore's snapshot: a run can branch
+    /// here and later [`Emu::resume`] without a full snapshot per branch
+    /// point.
+    pub fn fork(&self) -> Fork {
+        Fork {
+            cpu: self.cpu.clone(),
+            load_override: self.load_override,
+            pc: self.pc,
+            steps: self.steps,
+            mem: self.mem.delta(),
+            injections: self.injections.clone(),
+        }
+    }
+
+    /// Returns to a [`Fork`]: restores `snap` (see [`Emu::restore`]),
+    /// then writes the fork's pages back and marks them dirty, so the
+    /// next restore reverts them too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fork` was taken after a restore to a different
+    /// snapshot than `snap` (or after none), and as [`Emu::restore`].
+    pub fn resume(&mut self, snap: &Snapshot, fork: &Fork) {
+        self.mem.apply_delta(&snap.mem, &fork.mem);
+        self.cpu = fork.cpu.clone();
+        self.cfg = snap.cfg;
+        self.load_override = fork.load_override;
+        self.pc = fork.pc;
+        self.steps = fork.steps;
+        self.injections.clear();
+        self.injections.extend_from_slice(&fork.injections);
     }
 
     fn read_reg(&self, r: Reg, addr: u32) -> u32 {

@@ -46,8 +46,10 @@ mod predecode;
 
 pub use cpu::Cpu;
 pub use exec::{
-    add_with_carry, Config, Emu, Fault, InjectKind, Injection, LoadOverride, Persistence,
+    add_with_carry, Config, Emu, Fault, Fork, InjectKind, Injection, LoadOverride, Persistence,
     RunOutcome, Snapshot, Step, StepOutcome, StopReason,
 };
-pub use mem::{Access, FaultKind, MapError, MemFault, MemSnapshot, Memory, Perms, Region};
+pub use mem::{
+    Access, FaultKind, MapError, MemDelta, MemFault, MemSnapshot, Memory, Perms, Region,
+};
 pub use predecode::{classify, PredecodedImage, Slot};

@@ -99,7 +99,8 @@ pub struct Region {
     base: u32,
     perms: Perms,
     data: Vec<u8>,
-    /// One bit per page stored to since the last [`Memory::restore`]
+    /// One bit per page stored to (or written back by
+    /// [`Memory::apply_delta`]) since the last [`Memory::restore`]
     /// (empty until the first store).
     dirty: Vec<u64>,
 }
@@ -207,6 +208,19 @@ pub struct MemSnapshot {
     id: u64,
     data: Vec<Vec<u8>>,
     write_epoch: u64,
+}
+
+/// The pages a [`Memory`] stored to since its last restore, relative to
+/// the snapshot it was restored to — created by [`Memory::delta`] and
+/// replayed over that snapshot by [`Memory::apply_delta`].
+#[derive(Debug, Clone)]
+pub struct MemDelta {
+    /// Id of the snapshot the pages are relative to (0: none).
+    base: u64,
+    /// `(region index, page start offset)` per copied page.
+    pages: Vec<(usize, usize)>,
+    /// Page contents in `pages` order (a region's last page may be short).
+    bytes: Vec<u8>,
 }
 
 /// Source of [`MemSnapshot`] ids.
@@ -348,6 +362,50 @@ impl Memory {
             self.restored_to = snap.id;
         }
         self.write_epoch = snap.write_epoch;
+    }
+
+    /// Copies the pages stored to since the last [`Memory::restore`],
+    /// relative to the snapshot restored to — a delta snapshot costing
+    /// what the run since wrote, not what the memory map holds. Loader
+    /// writes are untracked, as for `restore`.
+    pub fn delta(&self) -> MemDelta {
+        let mut delta = MemDelta { base: self.restored_to, pages: Vec::new(), bytes: Vec::new() };
+        for (r, region) in self.regions.iter().enumerate() {
+            for (w, &word) in region.dirty.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE_SIZE;
+                    let end = (start + PAGE_SIZE).min(region.data.len());
+                    delta.pages.push((r, start));
+                    delta.bytes.extend_from_slice(&region.data[start..end]);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        delta
+    }
+
+    /// Restores `snap`, then writes `delta`'s pages back and marks them
+    /// dirty, advancing the write epoch so the next restore reverts them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` was not taken relative to `snap`, or (as
+    /// [`Memory::restore`]) if the memory map changed since.
+    pub fn apply_delta(&mut self, snap: &MemSnapshot, delta: &MemDelta) {
+        assert_eq!(delta.base, snap.id, "delta taken against a different snapshot");
+        self.restore(snap);
+        let mut off = 0;
+        for &(r, start) in &delta.pages {
+            let region = &mut self.regions[r];
+            let end = (start + PAGE_SIZE).min(region.data.len());
+            region.data[start..end].copy_from_slice(&delta.bytes[off..off + end - start]);
+            region.mark(start);
+            off += end - start;
+        }
+        if !delta.pages.is_empty() {
+            self.write_epoch += 1;
+        }
     }
 
     /// Reads raw bytes, ignoring permissions (debugger-style access).

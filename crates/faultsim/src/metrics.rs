@@ -43,6 +43,16 @@ pub fn simulated(model: &str) -> Arc<Counter> {
     )
 }
 
+/// Second-order pair-trial steps of `kind`: `"shared"` with the first
+/// fault's trial, or `"executed"` for the pair alone.
+pub fn pair_steps(kind: &str) -> Arc<Counter> {
+    gd_obs::counter(
+        "gd_faultsim_pair_steps_total",
+        "second-order pair-trial steps, shared with the first fault's trial or executed",
+        &[("kind", kind)],
+    )
+}
+
 /// Weighted trial outcomes for `model` and `outcome`.
 pub fn outcomes(model: &str, outcome: Outcome) -> Arc<Counter> {
     gd_obs::counter(
@@ -75,6 +85,8 @@ pub fn register_metrics() {
             let _ = outcomes(name, o);
         }
     }
+    let _ = pair_steps("shared");
+    let _ = pair_steps("executed");
 }
 
 #[cfg(test)]
@@ -90,10 +102,12 @@ mod tests {
             "# TYPE gd_faultsim_pruned_total counter",
             "# TYPE gd_faultsim_simulated_total counter",
             "# TYPE gd_faultsim_outcomes_total counter",
+            "# TYPE gd_faultsim_pair_steps_total counter",
         ] {
             assert!(text.contains(family), "missing {family:?}");
         }
         assert!(text.contains(r#"gd_faultsim_candidates_total{model="xor1.t"}"#));
         assert!(text.contains(r#"gd_faultsim_outcomes_total{model="pairs",outcome="Success"}"#));
+        assert!(text.contains(r#"gd_faultsim_pair_steps_total{kind="shared"}"#));
     }
 }

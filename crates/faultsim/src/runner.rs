@@ -4,7 +4,7 @@
 //! trial.
 
 use gd_backend::FirmwareImage;
-use gd_emu::{Config, Emu, PredecodedImage, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Config, Emu, Fault, PredecodedImage, Snapshot, StepOutcome, StopReason};
 use gd_firmware::BOOT_MARKER;
 use gd_glitch_emu::Outcome;
 use gd_thumb::Reg;
@@ -21,32 +21,44 @@ pub const MF_TRIAL_STEPS: u64 = 4096;
 /// reaches.
 pub const COMPROMISE_VALUE: u32 = 0xC0DE;
 
-/// Replays `firmware::boot` under sets of armed fault injections and
-/// classifies each trial.
-///
-/// Construction boots the image once and advances to the first fetch
-/// inside any scoped range — execution before that point cannot observe
-/// a fault at a scoped site, so it is identical for every trial and
-/// paid once. Each trial restores the snapshot (dropping the previous
-/// trial's injections), arms the set, invalidates the injected sites in
-/// a working copy of the micro-op table (injections apply on the live
-/// fallback path only), runs with a compromise watch on the uart
-/// store, and heals the table from a pristine copy.
+/// A trial in progress: the state of the one step loop every runner
+/// shares, carried across a fork.
+#[derive(Debug, Clone, Copy)]
+struct Trial {
+    /// Steps left in the budget.
+    left: u64,
+    /// The compromise watch fired.
+    compromised: bool,
+    /// Clean stop, if the trial stopped.
+    stop: Option<StopReason>,
+    /// Fault, if the trial faulted.
+    fault: Option<Fault>,
+}
+
+impl Trial {
+    fn new(budget: u64) -> Trial {
+        Trial { left: budget, compromised: false, stop: None, fault: None }
+    }
+}
+
+/// What both runners share: the image booted to the first scoped fetch,
+/// its snapshot there, and the working and pristine micro-op tables.
 #[derive(Debug)]
-pub struct MultiFaultRunner {
+struct Booted {
     emu: Emu,
     snap: Snapshot,
     image: PredecodedImage,
     pristine: PredecodedImage,
     budget: u64,
-    uart: u32,
 }
 
-impl MultiFaultRunner {
+impl Booted {
     /// Boots `image` and snapshots at the first fetch within `scope`
     /// (half-open address ranges). Falls back to the reset state if no
-    /// scoped fetch happens within the budget.
-    pub fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> MultiFaultRunner {
+    /// scoped fetch happens within the budget — execution before that
+    /// point cannot observe a fault at a scoped site, so it is identical
+    /// for every trial and paid once.
+    fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> Booted {
         let mut emu = image.boot_emu();
         emu.cfg = cfg;
         let pristine = PredecodedImage::from_bytes(image.text_base, &image.text, cfg);
@@ -67,14 +79,140 @@ impl MultiFaultRunner {
         }
         let budget = MF_TRIAL_STEPS - emu.steps();
         let snap = emu.snapshot();
-        let uart = image.symbol("uart_out");
-        MultiFaultRunner { emu, snap, image: pristine.clone(), pristine, budget, uart }
+        Booted { emu, snap, image: pristine.clone(), pristine, budget }
+    }
+
+    /// Restores the snapshot and arms `faults`, invalidating their sites
+    /// in the working table (injections apply on the live path only).
+    fn arm(&mut self, faults: &[FaultInstance]) {
+        self.emu.restore(&self.snap);
+        for f in faults {
+            self.emu.inject(f.injection());
+            self.image.invalidate_range(f.site, 2);
+        }
+    }
+
+    /// Heals the slots [`Booted::arm`] invalidated.
+    fn heal(&mut self, faults: &[FaultInstance]) {
+        for f in faults {
+            self.image.heal_range(&self.pristine, f.site, 2);
+        }
+    }
+
+    /// The one trial step loop. Steps until the trial stops, faults or
+    /// exhausts its budget (returning `true`), or until the next fetch
+    /// is at a PC `pause` selects (returning `false`, that fetch not yet
+    /// made). `pause` sees every fetch PC, in order.
+    fn run(
+        &mut self,
+        trial: &mut Trial,
+        watch: Option<(u32, u32)>,
+        mut pause: impl FnMut(u32) -> bool,
+    ) -> bool {
+        while trial.left > 0 {
+            if pause(self.emu.pc()) {
+                return false;
+            }
+            trial.left -= 1;
+            match self.emu.step_predecoded(&self.image) {
+                Ok(StepOutcome::Step(s)) => {
+                    if watch.is_some() && s.store == watch {
+                        trial.compromised = true;
+                    }
+                }
+                Ok(StepOutcome::Stop { reason, .. }) => {
+                    trial.stop = Some(reason);
+                    return true;
+                }
+                Err(f) => {
+                    trial.fault = Some(f);
+                    return true;
+                }
+            }
+        }
+        true
+    }
+
+    /// Halfword index of `addr` in the text table, if it lies there.
+    fn slot_index(&self, addr: u32) -> Option<usize> {
+        let i = (addr.wrapping_sub(self.pristine.base()) >> 1) as usize;
+        (i < self.pristine.len()).then_some(i)
+    }
+}
+
+/// Step ledger of second-order pair trials: every pair trial's steps
+/// are either inherited from its first fault's trial or run for it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairSteps {
+    /// Steps a pair trial shares with its first fault's trial, up to the
+    /// fork at the first fetch of the second fault's site (the whole
+    /// trial when that site is never fetched).
+    pub shared: u64,
+    /// Steps run for pair trials alone.
+    pub executed: u64,
+}
+
+/// Replays `firmware::boot` under sets of armed fault injections and
+/// classifies each trial.
+///
+/// Construction boots the image once and advances to the first fetch
+/// inside any scoped range, snapshots, and replays one unfaulted trial
+/// to record when each halfword is first fetched. Each trial restores
+/// the snapshot (dropping the previous trial's injections), arms the
+/// set, invalidates the injected sites in a working copy of the
+/// micro-op table (injections apply on the live fallback path only),
+/// runs with a compromise watch on the uart store, and heals the table
+/// from a pristine copy. [`MultiFaultRunner::run_pairs`] runs many
+/// two-fault trials that share a first fault off that fault's trial.
+#[derive(Debug)]
+pub struct MultiFaultRunner {
+    booted: Booted,
+    /// The `(uart_out, COMPROMISE_VALUE)` store.
+    watch: (u32, u32),
+    /// Per text halfword: the unfaulted trial's step at its first fetch
+    /// (`u32::MAX`: never fetched).
+    first_fetch: Vec<u32>,
+    /// Fork-walk scratch: per text halfword, whether a partner's site
+    /// there still awaits its first fetch.
+    pending: Vec<bool>,
+    /// Fork-walk scratch: partner indices ordered by site.
+    by_site: Vec<usize>,
+}
+
+impl MultiFaultRunner {
+    /// Boots `image` and snapshots at the first fetch within `scope`
+    /// (half-open address ranges). Falls back to the reset state if no
+    /// scoped fetch happens within the budget.
+    pub fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> MultiFaultRunner {
+        let mut booted = Booted::new(image, cfg, scope);
+        let mut first_fetch = vec![u32::MAX; booted.pristine.len()];
+        let (base, mut step) = (booted.pristine.base(), 0u32);
+        booted.run(&mut Trial::new(booted.budget), None, |pc| {
+            let i = (pc.wrapping_sub(base) >> 1) as usize;
+            if let Some(first) = first_fetch.get_mut(i) {
+                *first = (*first).min(step);
+            }
+            step += 1;
+            false
+        });
+        booted.emu.restore(&booted.snap);
+        let pending = vec![false; first_fetch.len()];
+        let watch = (image.symbol("uart_out"), COMPROMISE_VALUE);
+        MultiFaultRunner { booted, watch, first_fetch, pending, by_site: Vec::new() }
     }
 
     /// Steps already replayed into the snapshot (per-trial budget is
     /// [`MF_TRIAL_STEPS`] minus this).
     pub fn replayed(&self) -> u64 {
-        MF_TRIAL_STEPS - self.budget
+        MF_TRIAL_STEPS - self.booted.budget
+    }
+
+    /// Steps from the snapshot to the unfaulted trial's first fetch of
+    /// `site`, or `None` if it never fetches it. Of two faults, the one
+    /// whose site comes first fires first in their pair trial.
+    pub fn first_fetch(&self, site: u32) -> Option<u32> {
+        let i = self.booted.slot_index(site)?;
+        Some(self.first_fetch[i]).filter(|&s| s != u32::MAX)
     }
 
     /// Runs one trial with `faults` armed and classifies it.
@@ -88,39 +226,110 @@ impl MultiFaultRunner {
     /// [`Outcome::from_fault`], *Failed* otherwise (wrong marker, wrong
     /// stop, stuck).
     pub fn run(&mut self, faults: &[FaultInstance]) -> Outcome {
-        self.emu.restore(&self.snap);
-        for f in faults {
-            self.emu.inject(f.injection());
-            self.image.invalidate_range(f.site, 2);
+        self.run_counted(faults).0
+    }
+
+    /// [`MultiFaultRunner::run`], also returning the steps the trial took.
+    pub fn run_counted(&mut self, faults: &[FaultInstance]) -> (Outcome, u64) {
+        self.booted.arm(faults);
+        let mut trial = Trial::new(self.booted.budget);
+        self.booted.run(&mut trial, Some(self.watch), |_| false);
+        self.booted.heal(faults);
+        (self.classify(&trial), self.booted.budget - trial.left)
+    }
+
+    /// Runs the pair trial `{first, p}` for every `p` in `partners`,
+    /// writing outcomes to `outcomes` in `partners` order — each equal
+    /// to `run(&[first, p])` — while simulating `first`'s trial once.
+    ///
+    /// Until the first fetch of `p`'s site, the pair trial *is* `first`'s
+    /// trial: an injection acts only at a fetch of its site, and an
+    /// invalidated slot only moves dispatch to the equivalent live path.
+    /// So the walk runs `first`'s trial, forks at the first fetch of
+    /// each partner site, runs each partner there from the fork to the
+    /// end (carrying the compromise flag), and resumes `first`.
+    /// Partners whose site is never fetched take `first`'s outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a partner's site lies outside the image's text, or
+    /// shares `first`'s site.
+    pub fn run_pairs(
+        &mut self,
+        first: FaultInstance,
+        partners: &[FaultInstance],
+        outcomes: &mut Vec<Outcome>,
+    ) -> PairSteps {
+        let mut by_site = std::mem::take(&mut self.by_site);
+        by_site.clear();
+        by_site.extend(0..partners.len());
+        by_site.sort_unstable_by_key(|&i| partners[i].site);
+        for p in partners {
+            assert_ne!(p.site, first.site, "a pair needs two sites");
+            let i = self.booted.slot_index(p.site).expect("partner site in text");
+            self.pending[i] = true;
         }
-        let mut compromised = false;
-        let mut stopped = None;
-        let mut fault = None;
-        for _ in 0..self.budget {
-            match self.emu.step_predecoded(&self.image) {
-                Ok(StepOutcome::Step(s)) => {
-                    if s.store == Some((self.uart, COMPROMISE_VALUE)) {
-                        compromised = true;
-                    }
+        outcomes.clear();
+        outcomes.resize(partners.len(), Outcome::NoEffect);
+
+        let (budget, watch) = (self.booted.budget, Some(self.watch));
+        let base = self.booted.pristine.base();
+        let slot = |addr: u32| (addr.wrapping_sub(base) >> 1) as usize;
+        let mut steps = PairSteps::default();
+        self.booted.arm(&[first]);
+        let mut trial = Trial::new(budget);
+        loop {
+            let pending = &self.pending;
+            if self.booted.run(&mut trial, watch, |pc| pending.get(slot(pc)) == Some(&true)) {
+                break;
+            }
+            let site = self.booted.emu.pc();
+            self.pending[slot(site)] = false;
+            let fork = self.booted.emu.fork();
+            let lo = by_site.partition_point(|&i| partners[i].site < site);
+            for (k, &i) in
+                by_site[lo..].iter().take_while(|&&i| partners[i].site == site).enumerate()
+            {
+                if k > 0 {
+                    self.booted.emu.resume(&self.booted.snap, &fork);
                 }
-                Ok(StepOutcome::Stop { reason, .. }) => {
-                    stopped = Some(reason);
-                    break;
-                }
-                Err(f) => {
-                    fault = Some(f);
-                    break;
-                }
+                let second = partners[i];
+                self.booted.emu.inject(second.injection());
+                self.booted.image.invalidate_range(second.site, 2);
+                let mut pair = trial;
+                self.booted.run(&mut pair, watch, |_| false);
+                // Adjacent sites share a slot: healing the second fault's
+                // range must not revalidate the first's.
+                self.booted.heal(&[second]);
+                self.booted.image.invalidate_range(first.site, 2);
+                outcomes[i] = self.classify(&pair);
+                steps.shared += budget - trial.left;
+                steps.executed += trial.left - pair.left;
+            }
+            self.booted.emu.resume(&self.booted.snap, &fork);
+        }
+        self.booted.heal(&[first]);
+
+        let alone = self.classify(&trial);
+        for (p, outcome) in partners.iter().zip(outcomes.iter_mut()) {
+            if self.pending[slot(p.site)] {
+                *outcome = alone;
+                steps.shared += budget - trial.left;
             }
         }
-        for f in faults {
-            self.image.heal_range(&self.pristine, f.site, 2);
+        for p in partners {
+            self.pending[slot(p.site)] = false;
         }
-        if compromised {
+        self.by_site = by_site;
+        steps
+    }
+
+    fn classify(&self, trial: &Trial) -> Outcome {
+        if trial.compromised {
             return Outcome::Success;
         }
-        match (stopped, fault) {
-            (Some(StopReason::Bkpt(_)), _) if self.emu.cpu.reg(Reg::R0) == BOOT_MARKER => {
+        match (trial.stop, trial.fault) {
+            (Some(StopReason::Bkpt(_)), _) if self.booted.emu.cpu.reg(Reg::R0) == BOOT_MARKER => {
                 Outcome::NoEffect
             }
             (Some(_), _) => Outcome::Failed,
@@ -159,11 +368,7 @@ enum Baseline {
 ///   baseline finished).
 #[derive(Debug)]
 pub struct DivergenceRunner {
-    emu: Emu,
-    snap: Snapshot,
-    image: PredecodedImage,
-    pristine: PredecodedImage,
-    budget: u64,
+    booted: Booted,
     watch: Option<(u32, u32)>,
     baseline: Baseline,
 }
@@ -179,85 +384,37 @@ impl DivergenceRunner {
         scope: &[(u32, u32)],
         watch: Option<(u32, u32)>,
     ) -> DivergenceRunner {
-        let mut emu = image.boot_emu();
-        emu.cfg = cfg;
-        let pristine = PredecodedImage::from_bytes(image.text_base, &image.text, cfg);
-        let in_scope = |pc: u32| scope.iter().any(|&(lo, hi)| pc >= lo && pc < hi);
-        let mut clean = true;
-        while !in_scope(emu.pc()) && emu.steps() < MF_TRIAL_STEPS {
-            match emu.step_predecoded(&pristine) {
-                Ok(StepOutcome::Step(_)) => {}
-                _ => {
-                    clean = false;
-                    break;
-                }
-            }
-        }
-        if !clean {
-            emu = image.boot_emu();
-            emu.cfg = cfg;
-        }
-        let budget = MF_TRIAL_STEPS - emu.steps();
-        let snap = emu.snapshot();
-
+        let mut booted = Booted::new(image, cfg, scope);
         // One unfaulted replay pins the baseline the trials diverge from.
-        let mut baseline = Baseline::Spin;
-        for _ in 0..budget {
-            match emu.step_predecoded(&pristine) {
-                Ok(StepOutcome::Step(_)) => {}
-                Ok(StepOutcome::Stop { reason, .. }) => {
-                    baseline = Baseline::Stop(reason, emu.cpu.reg(Reg::R0));
-                    break;
-                }
-                Err(f) => panic!("unfaulted baseline faults: {f:?}"),
-            }
-        }
-        emu.restore(&snap);
-        DivergenceRunner { emu, snap, image: pristine.clone(), pristine, budget, watch, baseline }
+        let mut trial = Trial::new(booted.budget);
+        booted.run(&mut trial, None, |_| false);
+        let baseline = match (trial.stop, trial.fault) {
+            (Some(reason), _) => Baseline::Stop(reason, booted.emu.cpu.reg(Reg::R0)),
+            (None, Some(f)) => panic!("unfaulted baseline faults: {f:?}"),
+            (None, None) => Baseline::Spin,
+        };
+        booted.emu.restore(&booted.snap);
+        DivergenceRunner { booted, watch, baseline }
     }
 
     /// Steps already replayed into the snapshot.
     pub fn replayed(&self) -> u64 {
-        MF_TRIAL_STEPS - self.budget
+        MF_TRIAL_STEPS - self.booted.budget
     }
 
     /// Runs one trial with `faults` armed and classifies it against the
     /// baseline.
     pub fn run(&mut self, faults: &[FaultInstance]) -> Outcome {
-        self.emu.restore(&self.snap);
-        for f in faults {
-            self.emu.inject(f.injection());
-            self.image.invalidate_range(f.site, 2);
-        }
-        let mut compromised = false;
-        let mut stopped = None;
-        let mut fault = None;
-        for _ in 0..self.budget {
-            match self.emu.step_predecoded(&self.image) {
-                Ok(StepOutcome::Step(s)) => {
-                    if self.watch.is_some() && s.store == self.watch {
-                        compromised = true;
-                    }
-                }
-                Ok(StepOutcome::Stop { reason, .. }) => {
-                    stopped = Some(reason);
-                    break;
-                }
-                Err(f) => {
-                    fault = Some(f);
-                    break;
-                }
-            }
-        }
-        for f in faults {
-            self.image.heal_range(&self.pristine, f.site, 2);
-        }
-        if compromised {
+        self.booted.arm(faults);
+        let mut trial = Trial::new(self.booted.budget);
+        self.booted.run(&mut trial, self.watch, |_| false);
+        self.booted.heal(faults);
+        if trial.compromised {
             return Outcome::Success;
         }
-        match (stopped, fault, self.baseline) {
+        match (trial.stop, trial.fault, self.baseline) {
             (Some(reason), _, Baseline::Stop(base, r0))
-                if reason == base && self.emu.cpu.reg(Reg::R0) == r0 =>
+                if reason == base && self.booted.emu.cpu.reg(Reg::R0) == r0 =>
             {
                 Outcome::NoEffect
             }
