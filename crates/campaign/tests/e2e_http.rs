@@ -169,6 +169,7 @@ fn table1_served_over_http_matches_the_committed_results() {
         r#"gd_faultsim_outcomes_total{model="skip.t",outcome="Success"}"#,
         r#"gd_faultsim_pair_steps_total{kind="shared"}"#,
         r#"gd_faultsim_pair_steps_total{kind="executed"}"#,
+        r#"gd_faultsim_pair_steps_total{kind="slid"}"#,
     ] {
         assert!(metrics.contains(series), "missing {series:?} in:\n{metrics}");
     }

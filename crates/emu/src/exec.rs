@@ -24,6 +24,13 @@ pub struct Config {
     pub wide: bool,
 }
 
+/// The decode of the all-zeros halfword (unless
+/// [`Config::zero_is_invalid`]): `LSLS r0, r0, #0`, the ISA's de-facto
+/// NOP, which glitched control flow slides through in erased or
+/// zero-filled flash (see [`Emu::slide`]).
+pub const ZERO_FILL: Instr =
+    Instr::ShiftImm { op: ShiftOp::Lsl, rd: Reg::R0, rm: Reg::R0, imm5: 0 };
+
 /// A one-shot override applied to the next data load — the hook the clock
 /// glitch simulator uses to model bus-level data corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -492,6 +499,48 @@ impl Emu {
         }
     }
 
+    /// Slides over the run of `0x0000` halfwords at the PC — the
+    /// zero-filled flash glitched branches decay into — advancing the PC
+    /// and the step counter past up to `max` of them at once. Returns how
+    /// many it passed.
+    ///
+    /// `0x0000` is [`ZERO_FILL`]: it writes `r0` back unchanged, sets N
+    /// and Z from it, leaves C and V alone, accesses no memory and reads
+    /// no PC. Once N and Z agree with `r0`, each further one changes only
+    /// the PC and the step count, so `n` slid halfwords leave exactly the
+    /// state `n` calls to [`Emu::step`] would.
+    ///
+    /// Slides nothing while N or Z disagree with `r0`, under
+    /// [`Config::zero_is_invalid`], or unless the PC lies in an
+    /// executable, non-writable region. The run ends at the first nonzero
+    /// halfword, at the region's end, and before any armed injection. It
+    /// is read from memory, not from a micro-op table, so a loader poke
+    /// of `0x0000` is seen; at most `2 * max` bytes are scanned.
+    pub fn slide(&mut self, max: u64) -> u64 {
+        let r0 = self.cpu.reg(Reg::R0);
+        let flags = self.cpu.flags;
+        if self.cfg.zero_is_invalid || flags.n != (r0 >> 31 != 0) || flags.z != (r0 == 0) {
+            return 0;
+        }
+        let pc = self.pc;
+        let Some(region) = self.mem.region_at(pc) else { return 0 };
+        if !region.perms().execute || region.perms().write {
+            return 0;
+        }
+        let off = (pc - region.base()) as usize;
+        let mut len = (region.data().len() - off)
+            .min(usize::try_from(max).unwrap_or(usize::MAX).saturating_mul(2));
+        for inj in self.injections.iter().filter(|inj| inj.armed && inj.addr >= pc) {
+            len = len.min((inj.addr - pc) as usize);
+        }
+        let bytes = zero_prefix(&region.data()[off..off + len]) & !1;
+        // Wraps (and truncates) only as stepping across 2^32 would.
+        self.pc = pc.wrapping_add(bytes as u32);
+        let n = (bytes / 2) as u64;
+        self.steps += n;
+        n
+    }
+
     /// Runs until a stop, fault, or the step budget is exhausted.
     pub fn run(&mut self, max_steps: u64) -> RunOutcome {
         for _ in 0..max_steps {
@@ -507,11 +556,18 @@ impl Emu {
     }
 
     /// [`Emu::run`] over the predecoded dispatch path of
-    /// [`Emu::step_predecoded`].
+    /// [`Emu::step_predecoded`], sliding ([`Emu::slide`]) through each run
+    /// of zero-filled flash it enters instead of stepping it.
     pub fn run_predecoded(&mut self, max_steps: u64, image: &PredecodedImage) -> RunOutcome {
-        for _ in 0..max_steps {
+        let mut left = max_steps;
+        while left > 0 {
+            left -= 1;
             match self.step_predecoded(image) {
-                Ok(StepOutcome::Step(_)) => {}
+                Ok(StepOutcome::Step(s)) => {
+                    if s.instr == ZERO_FILL {
+                        left -= self.slide(left);
+                    }
+                }
                 Ok(StepOutcome::Stop { reason, addr }) => {
                     return RunOutcome::Stop { reason, addr, steps: self.steps }
                 }
@@ -1135,6 +1191,13 @@ pub fn add_with_carry(a: u32, b: u32, carry_in: bool) -> (u32, bool, bool) {
 /// data-processing arm, where logical ops carry `None` for V.
 fn map3((r, c, v): (u32, bool, bool)) -> (u32, bool, Option<bool>) {
     (r, c, Some(v))
+}
+
+/// Length of the all-zero prefix of `bytes`, tested 16 bytes at a time.
+fn zero_prefix(bytes: &[u8]) -> usize {
+    let zero = |c: &&[u8]| u128::from_ne_bytes((*c).try_into().expect("16-byte chunk")) == 0;
+    let n = 16 * bytes.chunks_exact(16).take_while(zero).count();
+    n + bytes[n..].iter().position(|&b| b != 0).unwrap_or(bytes.len() - n)
 }
 
 fn shift_imm(op: ShiftOp, x: u32, imm5: u8, c_in: bool) -> (u32, bool) {

@@ -47,7 +47,7 @@ mod predecode;
 pub use cpu::Cpu;
 pub use exec::{
     add_with_carry, Config, Emu, Fault, Fork, InjectKind, Injection, LoadOverride, Persistence,
-    RunOutcome, Snapshot, Step, StepOutcome, StopReason,
+    RunOutcome, Snapshot, Step, StepOutcome, StopReason, ZERO_FILL,
 };
 pub use mem::{
     Access, FaultKind, MapError, MemDelta, MemFault, MemSnapshot, Memory, Perms, Region,

@@ -269,6 +269,7 @@ fn record_order2((tally, stats, steps): (Tally, MfStats, PairSteps)) -> (Tally, 
     metrics::record_tally(metrics::PAIRS_LABEL, &tally);
     metrics::pair_steps("shared").add(steps.shared);
     metrics::pair_steps("executed").add(steps.executed);
+    metrics::pair_steps("slid").add(steps.slid);
     (tally, stats)
 }
 
@@ -341,7 +342,7 @@ fn order2_reference(
             let outcome = static_pair(&ra, &rb).unwrap_or_else(|| {
                 stats.simulated += 1;
                 let (outcome, n) = runner.run_counted(&[ra.fault, rb.fault]);
-                steps.executed += n;
+                steps.merge(&n);
                 outcome
             });
             tally.record_n(outcome, weight);
@@ -409,9 +410,7 @@ fn order2_walk(
         }
         faults.clear();
         faults.extend(partners.iter().map(|&y| reps[y].fault));
-        let s = runner.run_pairs(rx.fault, &faults, &mut outcomes);
-        steps.shared += s.shared;
-        steps.executed += s.executed;
+        steps.merge(&runner.run_pairs(rx.fault, &faults, &mut outcomes));
         stats.simulated += partners.len() as u64;
         for (&y, &outcome) in partners.iter().zip(&outcomes) {
             tally.record_n(outcome, rx.weight * reps[y].weight);

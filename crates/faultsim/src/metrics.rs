@@ -44,11 +44,12 @@ pub fn simulated(model: &str) -> Arc<Counter> {
 }
 
 /// Second-order pair-trial steps of `kind`: `"shared"` with the first
-/// fault's trial, or `"executed"` for the pair alone.
+/// fault's trial, or for the pair alone either `"executed"` (dispatched)
+/// or `"slid"` (through zero-filled flash in one step).
 pub fn pair_steps(kind: &str) -> Arc<Counter> {
     gd_obs::counter(
         "gd_faultsim_pair_steps_total",
-        "second-order pair-trial steps, shared with the first fault's trial or executed",
+        "second-order pair-trial steps, shared with the first fault's trial, executed, or slid",
         &[("kind", kind)],
     )
 }
@@ -87,6 +88,7 @@ pub fn register_metrics() {
     }
     let _ = pair_steps("shared");
     let _ = pair_steps("executed");
+    let _ = pair_steps("slid");
 }
 
 #[cfg(test)]
@@ -109,5 +111,6 @@ mod tests {
         assert!(text.contains(r#"gd_faultsim_candidates_total{model="xor1.t"}"#));
         assert!(text.contains(r#"gd_faultsim_outcomes_total{model="pairs",outcome="Success"}"#));
         assert!(text.contains(r#"gd_faultsim_pair_steps_total{kind="shared"}"#));
+        assert!(text.contains(r#"gd_faultsim_pair_steps_total{kind="slid"}"#));
     }
 }

@@ -4,7 +4,7 @@
 //! trial.
 
 use gd_backend::FirmwareImage;
-use gd_emu::{Config, Emu, Fault, PredecodedImage, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Config, Emu, Fault, PredecodedImage, Snapshot, StepOutcome, StopReason, ZERO_FILL};
 use gd_firmware::BOOT_MARKER;
 use gd_glitch_emu::Outcome;
 use gd_thumb::Reg;
@@ -27,6 +27,9 @@ pub const COMPROMISE_VALUE: u32 = 0xC0DE;
 struct Trial {
     /// Steps left in the budget.
     left: u64,
+    /// Steps slid through zero-filled flash ([`Emu::slide`]) rather than
+    /// dispatched.
+    slid: u64,
     /// The compromise watch fired.
     compromised: bool,
     /// Clean stop, if the trial stopped.
@@ -37,8 +40,13 @@ struct Trial {
 
 impl Trial {
     fn new(budget: u64) -> Trial {
-        Trial { left: budget, compromised: false, stop: None, fault: None }
+        Trial { left: budget, slid: 0, compromised: false, stop: None, fault: None }
     }
+}
+
+/// Whether `pc` lies in one of the half-open `scope` ranges.
+fn in_scope(scope: &[(u32, u32)], pc: u32) -> bool {
+    scope.iter().any(|&(lo, hi)| pc >= lo && pc < hi)
 }
 
 /// What both runners share: the image booted to the first scoped fetch,
@@ -62,9 +70,8 @@ impl Booted {
         let mut emu = image.boot_emu();
         emu.cfg = cfg;
         let pristine = PredecodedImage::from_bytes(image.text_base, &image.text, cfg);
-        let in_scope = |pc: u32| scope.iter().any(|&(lo, hi)| pc >= lo && pc < hi);
         let mut clean = true;
-        while !in_scope(emu.pc()) && emu.steps() < MF_TRIAL_STEPS {
+        while !in_scope(scope, emu.pc()) && emu.steps() < MF_TRIAL_STEPS {
             match emu.step_predecoded(&pristine) {
                 Ok(StepOutcome::Step(_)) => {}
                 _ => {
@@ -102,15 +109,20 @@ impl Booted {
     /// The one trial step loop. Steps until the trial stops, faults or
     /// exhausts its budget (returning `true`), or until the next fetch
     /// is at a PC `pause` selects (returning `false`, that fetch not yet
-    /// made). `pause` sees every fetch PC, in order.
+    /// made). `pause` is given the PC and the trial's steps so far.
+    ///
+    /// Runs of zero-filled flash outside the text table are slid through
+    /// ([`Emu::slide`]), so `pause` sees every fetch PC inside the text
+    /// table, in order, but not every one outside it. Every site the
+    /// walks pause at lies inside.
     fn run(
         &mut self,
         trial: &mut Trial,
         watch: Option<(u32, u32)>,
-        mut pause: impl FnMut(u32) -> bool,
+        mut pause: impl FnMut(u32, u64) -> bool,
     ) -> bool {
         while trial.left > 0 {
-            if pause(self.emu.pc()) {
+            if pause(self.emu.pc(), self.budget - trial.left) {
                 return false;
             }
             trial.left -= 1;
@@ -118,6 +130,11 @@ impl Booted {
                 Ok(StepOutcome::Step(s)) => {
                     if watch.is_some() && s.store == watch {
                         trial.compromised = true;
+                    }
+                    if s.instr == ZERO_FILL {
+                        let n = self.emu.slide(self.slide_limit(trial.left));
+                        trial.left -= n;
+                        trial.slid += n;
                     }
                 }
                 Ok(StepOutcome::Stop { reason, .. }) => {
@@ -133,6 +150,22 @@ impl Booted {
         true
     }
 
+    /// How far the emulator may slide from its PC: up to `left` steps,
+    /// but never into or across the text table, whose fetches `pause`
+    /// must see.
+    fn slide_limit(&self, left: u64) -> u64 {
+        let pc = u64::from(self.emu.pc());
+        let lo = u64::from(self.pristine.base());
+        let hi = lo + 2 * self.pristine.len() as u64;
+        if pc >= hi {
+            left
+        } else if pc < lo {
+            left.min((lo - pc) / 2)
+        } else {
+            0
+        }
+    }
+
     /// Halfword index of `addr` in the text table, if it lies there.
     fn slot_index(&self, addr: u32) -> Option<usize> {
         let i = (addr.wrapping_sub(self.pristine.base()) >> 1) as usize;
@@ -141,15 +174,35 @@ impl Booted {
 }
 
 /// Step ledger of second-order pair trials: every pair trial's steps
-/// are either inherited from its first fault's trial or run for it.
+/// are either inherited from its first fault's trial or run for it, and
+/// those run for it are either dispatched or slid through zero-filled
+/// flash.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairSteps {
     /// Steps a pair trial shares with its first fault's trial, up to the
     /// fork at the first fetch of the second fault's site (the whole
     /// trial when that site is never fetched).
     pub shared: u64,
-    /// Steps run for pair trials alone.
+    /// Steps dispatched for pair trials alone.
     pub executed: u64,
+    /// Steps slid ([`Emu::slide`]) for pair trials alone.
+    pub slid: u64,
+}
+
+impl PairSteps {
+    /// The steps `trial` ran beyond `from` (its state at a fork, or a
+    /// fresh trial), none of them shared.
+    fn run_since(from: &Trial, trial: &Trial) -> PairSteps {
+        let slid = trial.slid - from.slid;
+        PairSteps { shared: 0, executed: from.left - trial.left - slid, slid }
+    }
+
+    /// Adds `other` into this ledger.
+    pub fn merge(&mut self, other: &PairSteps) {
+        self.shared += other.shared;
+        self.executed += other.executed;
+        self.slid += other.slid;
+    }
 }
 
 /// Replays `firmware::boot` under sets of armed fault injections and
@@ -186,13 +239,12 @@ impl MultiFaultRunner {
     pub fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> MultiFaultRunner {
         let mut booted = Booted::new(image, cfg, scope);
         let mut first_fetch = vec![u32::MAX; booted.pristine.len()];
-        let (base, mut step) = (booted.pristine.base(), 0u32);
-        booted.run(&mut Trial::new(booted.budget), None, |pc| {
+        let base = booted.pristine.base();
+        booted.run(&mut Trial::new(booted.budget), None, |pc, step| {
             let i = (pc.wrapping_sub(base) >> 1) as usize;
             if let Some(first) = first_fetch.get_mut(i) {
-                *first = (*first).min(step);
+                *first = (*first).min(step as u32);
             }
-            step += 1;
             false
         });
         booted.emu.restore(&booted.snap);
@@ -229,13 +281,15 @@ impl MultiFaultRunner {
         self.run_counted(faults).0
     }
 
-    /// [`MultiFaultRunner::run`], also returning the steps the trial took.
-    pub fn run_counted(&mut self, faults: &[FaultInstance]) -> (Outcome, u64) {
+    /// [`MultiFaultRunner::run`], also returning the steps the trial took
+    /// (none of them shared).
+    pub fn run_counted(&mut self, faults: &[FaultInstance]) -> (Outcome, PairSteps) {
         self.booted.arm(faults);
-        let mut trial = Trial::new(self.booted.budget);
-        self.booted.run(&mut trial, Some(self.watch), |_| false);
+        let start = Trial::new(self.booted.budget);
+        let mut trial = start;
+        self.booted.run(&mut trial, Some(self.watch), |_, _| false);
         self.booted.heal(faults);
-        (self.classify(&trial), self.booted.budget - trial.left)
+        (self.classify(&trial), PairSteps::run_since(&start, &trial))
     }
 
     /// Runs the pair trial `{first, p}` for every `p` in `partners`,
@@ -280,7 +334,7 @@ impl MultiFaultRunner {
         let mut trial = Trial::new(budget);
         loop {
             let pending = &self.pending;
-            if self.booted.run(&mut trial, watch, |pc| pending.get(slot(pc)) == Some(&true)) {
+            if self.booted.run(&mut trial, watch, |pc, _| pending.get(slot(pc)) == Some(&true)) {
                 break;
             }
             let site = self.booted.emu.pc();
@@ -297,14 +351,14 @@ impl MultiFaultRunner {
                 self.booted.emu.inject(second.injection());
                 self.booted.image.invalidate_range(second.site, 2);
                 let mut pair = trial;
-                self.booted.run(&mut pair, watch, |_| false);
+                self.booted.run(&mut pair, watch, |_, _| false);
                 // Adjacent sites share a slot: healing the second fault's
                 // range must not revalidate the first's.
                 self.booted.heal(&[second]);
                 self.booted.image.invalidate_range(first.site, 2);
                 outcomes[i] = self.classify(&pair);
                 steps.shared += budget - trial.left;
-                steps.executed += trial.left - pair.left;
+                steps.merge(&PairSteps::run_since(&trial, &pair));
             }
             self.booted.emu.resume(&self.booted.snap, &fork);
         }
@@ -369,6 +423,7 @@ enum Baseline {
 #[derive(Debug)]
 pub struct DivergenceRunner {
     booted: Booted,
+    scope: Vec<(u32, u32)>,
     watch: Option<(u32, u32)>,
     baseline: Baseline,
 }
@@ -387,14 +442,14 @@ impl DivergenceRunner {
         let mut booted = Booted::new(image, cfg, scope);
         // One unfaulted replay pins the baseline the trials diverge from.
         let mut trial = Trial::new(booted.budget);
-        booted.run(&mut trial, None, |_| false);
+        booted.run(&mut trial, None, |_, _| false);
         let baseline = match (trial.stop, trial.fault) {
             (Some(reason), _) => Baseline::Stop(reason, booted.emu.cpu.reg(Reg::R0)),
             (None, Some(f)) => panic!("unfaulted baseline faults: {f:?}"),
             (None, None) => Baseline::Spin,
         };
         booted.emu.restore(&booted.snap);
-        DivergenceRunner { booted, watch, baseline }
+        DivergenceRunner { booted, scope: scope.to_vec(), watch, baseline }
     }
 
     /// Steps already replayed into the snapshot.
@@ -407,7 +462,7 @@ impl DivergenceRunner {
     pub fn run(&mut self, faults: &[FaultInstance]) -> Outcome {
         self.booted.arm(faults);
         let mut trial = Trial::new(self.booted.budget);
-        self.booted.run(&mut trial, self.watch, |_| false);
+        self.booted.run(&mut trial, self.watch, |_, _| false);
         self.booted.heal(faults);
         if trial.compromised {
             return Outcome::Success;
@@ -420,8 +475,12 @@ impl DivergenceRunner {
             }
             (Some(_), _, _) => Outcome::Failed,
             (None, Some(f), _) => Outcome::from_fault(&f),
-            (None, None, Baseline::Spin) => Outcome::NoEffect,
-            (None, None, _) => Outcome::Failed, // budget exhausted, baseline finished
+            (None, None, Baseline::Spin) if in_scope(&self.scope, self.booted.emu.pc()) => {
+                Outcome::NoEffect
+            }
+            // Budget exhausted outside the scope, or when the baseline
+            // finished.
+            (None, None, _) => Outcome::Failed,
         }
     }
 }

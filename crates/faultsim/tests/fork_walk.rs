@@ -85,9 +85,10 @@ fn adjacent_site_pairs_match_from_snapshot_trials() {
         for (p, &walked) in partners.iter().zip(&outcomes) {
             let (want, n) = runner.run_counted(&[first, *p]);
             assert_eq!(walked, want, "{first:?} + {p:?}");
-            want_steps += n;
+            assert_eq!(n.shared, 0);
+            want_steps += n.executed + n.slid;
         }
-        assert_eq!(steps.shared + steps.executed, want_steps, "{first:?}");
+        assert_eq!(steps.shared + steps.executed + steps.slid, want_steps, "{first:?}");
         checked += 1;
     });
     assert!(checked > 0, "the pair space has adjacent sites");
@@ -120,7 +121,8 @@ fn never_fetched_partner_takes_the_first_faults_outcome() {
 /// Every bucket of the second-order campaign over a strided sample of
 /// representatives (both models, every scoped routine): the walk and
 /// the reference agree on tallies and ledgers, and the walk's pair
-/// trials have exactly the reference's steps, part of them shared.
+/// trials have exactly the reference's steps, part of them shared, and
+/// some of them slid through the zero fill after the text.
 #[test]
 fn every_bucket_walk_equals_reference() {
     const STRIDE: usize = 5;
@@ -130,7 +132,12 @@ fn every_bucket_walk_equals_reference() {
         assert_eq!((tally, stats), (want, want_stats), "bucket {bucket}");
         assert!(stats.simulated > 0, "bucket {bucket} simulates pairs");
         assert_eq!(reference.shared, 0);
-        assert_eq!(walk.shared + walk.executed, reference.executed, "bucket {bucket}");
+        assert_eq!(
+            walk.shared + walk.executed + walk.slid,
+            reference.executed + reference.slid,
+            "bucket {bucket}"
+        );
         assert!(walk.executed < reference.executed, "bucket {bucket} shares prefixes");
+        assert!(reference.slid > 0, "bucket {bucket} slides");
     }
 }

@@ -229,7 +229,9 @@ pub fn run_perturbed(case: &TestCase, hw: u16, cfg: Config) -> Outcome {
 /// back when the previous trial actually stored to memory), pokes the
 /// perturbed halfword over the target, and dispatches from the table —
 /// live decode happens only at the two slots whose meaning the
-/// perturbation can change ([`PredecodedImage::invalidate`]).
+/// perturbation can change ([`PredecodedImage::invalidate`]). A trial
+/// that runs off the snippet into zero-filled flash slides through it in
+/// one step ([`Emu::slide`]).
 #[derive(Debug)]
 pub struct PerturbRunner {
     emu: Emu,

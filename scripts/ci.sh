@@ -121,9 +121,13 @@ rm -f target/agree.golden.txt target/agree.doc.txt
 # and multifault campaign hot paths (few samples — this is a
 # structure/regression gate, not a baseline regeneration) and compare
 # against the committed BENCH_*.json: same stage set, fresh medians
-# within GD_BENCH_TOLERANCE of the committed ones, the predecoded fig2
-# sweep holding its committed >= 5x speedup floor, and the multifault
-# pruning rates reproducing their committed milli-values exactly.
+# within GD_BENCH_TOLERANCE of the committed ones, every gated speedup
+# at its committed floor — fig2 `sweep` (AND panel, predecoded vs
+# interpreter) and `sweep_or` (OR panel, where trials slide through the
+# zero fill), table1 `scan_cell_fast` (boot-once scan vs boot per
+# attempt), multifault `order2_fork` (fork walk vs reference) — and the
+# multifault pruning rates reproducing their committed milli-values
+# exactly.
 echo "==> gd-bench --check (benchmark trajectory)"
 GD_BENCH_SAMPLES=5 ./target/release/gd-bench --check
 
