@@ -248,7 +248,7 @@ fn bench_multifault(h: &Harness) -> Json {
             name: "order2_fork",
             baseline: "shard/order2_reference",
             fast: "shard/order2_bucket",
-            min_milli: Some(1500),
+            min_milli: Some(5000),
         }],
         &[
             Metric {

@@ -63,8 +63,11 @@ use crate::json::{parse, Json};
 use crate::shards::{run_shard, shard_plan, ShardResult, ShardWork};
 use crate::spec::CampaignSpec;
 
-/// Result format version written to cache and checkpoint files.
-pub const RESULT_VERSION: i64 = 1;
+/// Result format version written to cache and checkpoint files, which
+/// reject any other. Version 2: second-order multifault buckets
+/// partition pairs by first-fault class, not by linear pair index, so a
+/// version-1 bucket holds other pairs.
+pub const RESULT_VERSION: i64 = 2;
 
 /// Default per-shard attempt budget (first attempt + retries).
 pub const DEFAULT_SHARD_ATTEMPTS: u32 = 5;
@@ -830,9 +833,13 @@ fn checkpoint_path(dir: &Path, index: u32) -> PathBuf {
 fn load_checkpoint(dir: &Path, index: u32) -> Option<ShardResult> {
     let text = read_store_file(&checkpoint_path(dir, index), "checkpoint")?;
     let v = parse(&text).ok()?;
-    // Stale or mismatched files (e.g. a hand-edited store) are skipped,
-    // not trusted: the index recorded inside must match the filename.
-    if v.get("index").and_then(Json::as_u64) != Some(u64::from(index)) {
+    // Stale or mismatched files (e.g. a hand-edited store, or one written
+    // under another result version, whose shards may hold other work)
+    // are skipped, not trusted: the version recorded inside must be this
+    // one, and the index must match the filename.
+    if v.get("version").and_then(Json::as_i64) != Some(RESULT_VERSION)
+        || v.get("index").and_then(Json::as_u64) != Some(u64::from(index))
+    {
         return None;
     }
     ShardResult::from_json(v.get("result")?).ok()

@@ -89,8 +89,10 @@ pub enum ShardWork {
         model: usize,
     },
     /// One second-order multifault bucket: the distinct-site
-    /// representative pairs whose linear index falls in this bucket
-    /// (mod [`gd_faultsim::O2_BUCKETS`]).
+    /// representative pairs whose first-firing live member belongs to a
+    /// first-fault class of this bucket (class `i` in bucket `i` mod
+    /// [`gd_faultsim::O2_BUCKETS`]; pairs of two static members in
+    /// bucket 0).
     MultifaultPairs {
         /// Bucket index.
         bucket: u32,

@@ -149,6 +149,7 @@ fn table1_served_over_http_matches_the_committed_results() {
         "# TYPE gd_faultsim_simulated_total counter",
         "# TYPE gd_faultsim_outcomes_total counter",
         "# TYPE gd_faultsim_pair_steps_total counter",
+        "# TYPE gd_faultsim_pairs_total counter",
         "# TYPE gd_ingest_images_total counter",
         "# TYPE gd_ingest_text_bytes_total counter",
         "# TYPE gd_ingest_extents_total counter",
@@ -170,6 +171,11 @@ fn table1_served_over_http_matches_the_committed_results() {
         r#"gd_faultsim_pair_steps_total{kind="shared"}"#,
         r#"gd_faultsim_pair_steps_total{kind="executed"}"#,
         r#"gd_faultsim_pair_steps_total{kind="slid"}"#,
+        r#"gd_faultsim_pairs_total{by="trial"}"#,
+        r#"gd_faultsim_pairs_total{by="class"}"#,
+        r#"gd_faultsim_pairs_total{by="rejoin"}"#,
+        r#"gd_faultsim_pairs_total{by="merge"}"#,
+        r#"gd_faultsim_pairs_total{by="first"}"#,
     ] {
         assert!(metrics.contains(series), "missing {series:?} in:\n{metrics}");
     }

@@ -317,6 +317,13 @@ pub struct Fork {
     injections: Vec<Injection>,
 }
 
+impl Fork {
+    /// The PC the fork was taken at.
+    pub fn pc(&self) -> u32 {
+        self.pc
+    }
+}
+
 impl Emu {
     /// A fresh emulator with an empty memory map.
     pub fn new() -> Emu {
@@ -650,6 +657,28 @@ impl Emu {
         self.steps = fork.steps;
         self.injections.clear();
         self.injections.extend_from_slice(&fork.injections);
+    }
+
+    /// Whether this emulator, restored to `snap` and run since, is in
+    /// exactly the state `fork` (taken relative to `snap`) captured: no
+    /// injection armed on either side, and equal PC, step count, CPU,
+    /// load override and memory contents ([`Memory::same_contents`]).
+    /// Two such states run on identically, so whatever a run from one
+    /// computes, a run from the other computes too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this emulator was last restored to another snapshot
+    /// than `snap`, or `fork` was taken relative to another.
+    pub fn same_state(&self, snap: &Snapshot, fork: &Fork) -> bool {
+        let armed = |injections: &[Injection]| injections.iter().any(Injection::is_armed);
+        self.pc == fork.pc
+            && self.steps == fork.steps
+            && self.cpu == fork.cpu
+            && self.load_override == fork.load_override
+            && !armed(&self.injections)
+            && !armed(&fork.injections)
+            && self.mem.same_contents(&snap.mem, &fork.mem)
     }
 
     fn read_reg(&self, r: Reg, addr: u32) -> u32 {

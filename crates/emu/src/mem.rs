@@ -146,6 +146,20 @@ impl Region {
         self.dirty[page / 64] |= 1 << (page % 64);
     }
 
+    /// Start offsets of the dirty pages, in address order.
+    fn dirty_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dirty.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let page = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    page * PAGE_SIZE
+                })
+            })
+        })
+    }
+
     /// Copies every dirty page back from `pristine` and clears the bitmap.
     fn restore_dirty(&mut self, pristine: &[u8]) {
         for (w, word) in self.dirty.iter_mut().enumerate() {
@@ -371,15 +385,10 @@ impl Memory {
     pub fn delta(&self) -> MemDelta {
         let mut delta = MemDelta { base: self.restored_to, pages: Vec::new(), bytes: Vec::new() };
         for (r, region) in self.regions.iter().enumerate() {
-            for (w, &word) in region.dirty.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let start = (w * 64 + bits.trailing_zeros() as usize) * PAGE_SIZE;
-                    let end = (start + PAGE_SIZE).min(region.data.len());
-                    delta.pages.push((r, start));
-                    delta.bytes.extend_from_slice(&region.data[start..end]);
-                    bits &= bits - 1;
-                }
+            for start in region.dirty_pages() {
+                let end = (start + PAGE_SIZE).min(region.data.len());
+                delta.pages.push((r, start));
+                delta.bytes.extend_from_slice(&region.data[start..end]);
             }
         }
         delta
@@ -406,6 +415,47 @@ impl Memory {
         if !delta.pages.is_empty() {
             self.write_epoch += 1;
         }
+    }
+
+    /// Whether this memory, restored to `snap` and stored to since,
+    /// holds exactly the contents `delta` (taken relative to `snap`)
+    /// describes. Contents are compared, not the sets of pages stored
+    /// to: every page dirty on either side is compared against the
+    /// delta's copy, or else the snapshot's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this memory was last restored to another snapshot than
+    /// `snap`, or `delta` was taken relative to another.
+    pub fn same_contents(&self, snap: &MemSnapshot, delta: &MemDelta) -> bool {
+        assert_eq!(self.restored_to, snap.id, "memory restored to a different snapshot");
+        assert_eq!(delta.base, snap.id, "delta taken against a different snapshot");
+        let mut theirs = delta.pages.iter().peekable();
+        let mut off = 0;
+        for (r, region) in self.regions.iter().enumerate() {
+            let mut ours = region.dirty_pages().peekable();
+            loop {
+                let their = theirs.peek().filter(|&&&(tr, _)| tr == r).map(|&&(_, s)| s);
+                let Some(start) = ours.peek().copied().into_iter().chain(their).min() else {
+                    break;
+                };
+                let end = (start + PAGE_SIZE).min(region.data.len());
+                let want = if their == Some(start) {
+                    theirs.next();
+                    off += end - start;
+                    &delta.bytes[off - (end - start)..off]
+                } else {
+                    &snap.data[r][start..end]
+                };
+                if ours.peek() == Some(&start) {
+                    ours.next();
+                }
+                if region.data[start..end] != *want {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Reads raw bytes, ignoring permissions (debugger-style access).

@@ -150,3 +150,66 @@ fn random_fork_sequences_match_a_full_copy_reference() {
         }
     });
 }
+
+/// [`Emu::same_state`] against the full-copy reference: two runs from
+/// one snapshot, storing values from a small pool to a few pages (so
+/// equal contents behind different sets of stored-to pages are common),
+/// are in the same state exactly when their full copies agree.
+#[test]
+fn same_state_agrees_with_a_full_copy_comparison() {
+    let mut equal = 0;
+    gd_exec::check::cases(400, "same_state ≡ full copy equality", |rng| {
+        let mut e = emu();
+        let snap = e.snapshot();
+        let mut run = |e: &mut Emu| {
+            e.restore(&snap);
+            for _ in 0..rng.usize(0, 6) {
+                let addr = *rng.choose(&[SRAM, SRAM + 4, SRAM + 0x300, PERIPH + 0x1_0100]);
+                e.mem.write32(addr, *rng.choose(&[0, 1])).expect("mapped");
+            }
+            e.cpu.set_reg(Reg::R0, *rng.choose(&[0, 1]));
+            Model::of(e)
+        };
+        let a = run(&mut e);
+        let fork = e.fork();
+        let b = run(&mut e);
+        assert_eq!(e.same_state(&snap, &fork), a == b, "{a:?} vs {b:?}");
+        equal += usize::from(a == b);
+    });
+    assert!(equal > 20, "the sample reaches equal states ({equal})");
+}
+
+/// An armed injection on either side may yet fire, so the states
+/// differ; a spent one changes nothing.
+#[test]
+fn same_state_needs_no_armed_injection() {
+    const FLASH: u32 = 0x0800_0000;
+    let mut e = emu();
+    // The zero fill executes as `lsls r0, r0, #0`: with r0 = 1 and N, Z
+    // clear it changes nothing but the PC, exactly like skipping it.
+    e.set_pc(FLASH);
+    e.cpu.set_reg(Reg::R0, 1);
+    let snap = e.snapshot();
+    let step = |e: &mut Emu, injection: Option<Injection>| {
+        e.restore(&snap);
+        if let Some(i) = injection {
+            e.inject(i);
+        }
+        e.step().expect("the zero fill executes");
+    };
+    let elsewhere = Injection::new(FLASH + 0x100, InjectKind::Skip, Persistence::Transient);
+    let here = Injection::new(FLASH, InjectKind::Skip, Persistence::Transient);
+
+    step(&mut e, None);
+    let plain = e.fork();
+    step(&mut e, Some(elsewhere));
+    let armed = e.fork();
+    assert!(!e.same_state(&snap, &plain), "armed here");
+    step(&mut e, None);
+    assert!(e.same_state(&snap, &plain));
+    assert!(!e.same_state(&snap, &armed), "armed in the fork");
+    step(&mut e, Some(here));
+    assert!(e.same_state(&snap, &plain), "a spent injection");
+    e.cpu.set_reg(Reg::R1, 7);
+    assert!(!e.same_state(&snap, &plain), "registers differ");
+}

@@ -2,6 +2,8 @@
 //! shared enumeration/pruning state and the first/second-order shard
 //! executors the campaign engine dispatches.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use gd_backend::FirmwareImage;
@@ -11,7 +13,7 @@ use gd_glitch_emu::{Outcome, Tally};
 use crate::metrics;
 use crate::model::{FaultInstance, Registry, SiteInfo};
 use crate::prune::{halfword_slots, prune_model, sites, FaultClass, ModelClasses};
-use crate::runner::{MultiFaultRunner, PairSteps};
+use crate::runner::{MultiFaultRunner, PairSteps, PairsBy};
 
 /// The scoped routines: everything `main` runs after `hal_init`, so the
 /// per-trial snapshot replays the whole HAL bring-up exactly once.
@@ -21,9 +23,11 @@ pub const SCOPE_FUNCS: [&str; 3] = ["crc_mix", "check_tick", "report"];
 /// pair space (single-bit transient flips × transient skips).
 pub const O2_MODELS: [usize; 2] = [0, 3];
 
-/// Fixed bucket count for second-order shards: pair `i` belongs to
-/// bucket `i % O2_BUCKETS`, so the shard plan needs no enumeration and
-/// the bucket partition is independent of worker count.
+/// Fixed bucket count for second-order shards. Numbered by first fetch,
+/// first-fault class `i` goes to bucket `i % O2_BUCKETS`, and a pair to
+/// the bucket of its first-firing live member's class (two static
+/// members: bucket 0), so the shard plan needs no enumeration and the
+/// bucket partition is independent of worker count.
 pub const O2_BUCKETS: u32 = 8;
 
 /// Pruning and simulation counters for one shard or campaign.
@@ -153,8 +157,7 @@ pub fn order1_shard(model: usize) -> (Tally, MfStats) {
 }
 
 /// One second-order pair-space member: a canonical representative with
-/// its class weight and its first-order outcome, plus where its pairs
-/// sit in the list's linear pair order.
+/// its class weight, its first-order outcome and its first-fault class.
 #[derive(Debug, Clone, Copy)]
 struct O2Rep {
     fault: FaultInstance,
@@ -166,92 +169,190 @@ struct O2Rep {
     is_static: bool,
     /// Steps from the snapshot to the unfaulted trial's first fetch of
     /// the site (`u32::MAX`: never). Of a pair, the member fetched first
-    /// fires first; ties (both never fetched) go to the lower index.
+    /// fires first; of two never fetched, the one at the lower site.
     first_fetch: u32,
-    /// Dense id of the site within the list ([`index_pairs`]).
-    site_id: u32,
-    /// Representatives before this one in the list at the same site.
-    rank: u32,
-    /// Linear index of this representative's first pair `(self, b)`.
-    row_start: u64,
+    /// Live representatives: the first-fault class
+    /// ([`MultiFaultRunner::run_classed`]); in an [`O2Space`], its index
+    /// in class order. Unused for static ones.
+    class: u32,
 }
 
 /// The second-order representative list: pruned classes of
-/// [`O2_MODELS`], each annotated with its first-order outcome (computed
-/// once; pairs with a statically No-Effect member resolve to the other
-/// member's outcome without simulation).
-fn order2_reps() -> &'static Vec<O2Rep> {
-    static REPS: OnceLock<Vec<O2Rep>> = OnceLock::new();
-    REPS.get_or_init(|| {
-        let campaign = boot_campaign();
-        let mut runner = campaign.runner();
-        let mut reps = Vec::new();
-        for &model in &O2_MODELS {
-            for class in &campaign.per_model[model].classes {
-                let (o1, is_static) = match class.outcome {
-                    Some(o) => (o, true),
-                    None => (runner.run(&[class.rep()]), false),
-                };
-                reps.push(O2Rep {
-                    fault: class.rep(),
-                    weight: class.weight(),
-                    o1,
-                    is_static,
-                    first_fetch: runner.first_fetch(class.rep().site).unwrap_or(u32::MAX),
-                    site_id: 0,
-                    rank: 0,
-                    row_start: 0,
-                });
-            }
+/// [`O2_MODELS`], each annotated with its first-order outcome, and the
+/// live ones with their first-fault class (computed once; pairs with a
+/// statically No-Effect member resolve to the other member's outcome
+/// without simulation).
+///
+/// The classes come from the first-order trials themselves: taken site
+/// by site, each trial pauses just after its fault fires and is compared
+/// with the classes found so far at that site, keeping those classes'
+/// forks for one site at a time.
+fn order2_reps() -> Vec<O2Rep> {
+    let campaign = boot_campaign();
+    let mut runner = campaign.runner();
+    let mut reps: Vec<O2Rep> = O2_MODELS
+        .iter()
+        .flat_map(|&model| &campaign.per_model[model].classes)
+        .map(|class| O2Rep {
+            fault: class.rep(),
+            weight: class.weight(),
+            o1: class.outcome.unwrap_or(Outcome::NoEffect),
+            is_static: class.outcome.is_some(),
+            first_fetch: runner.first_fetch(class.rep().site).unwrap_or(u32::MAX),
+            class: 0,
+        })
+        .collect();
+    let mut live: Vec<usize> = (0..reps.len()).filter(|&i| !reps[i].is_static).collect();
+    live.sort_by_key(|&i| reps[i].fault.site);
+    let (mut fired, mut site, mut site_start) = (Vec::new(), None, 0);
+    for &i in &live {
+        let rep = &mut reps[i];
+        if site != Some(rep.fault.site) {
+            site = Some(rep.fault.site);
+            site_start += fired.len();
+            fired.clear();
         }
-        index_pairs(&mut reps);
-        reps
-    })
+        let (o1, class) = runner.run_classed(rep.fault, &mut fired);
+        rep.o1 = o1;
+        rep.class = (site_start + class) as u32;
+    }
+    reps
 }
 
-/// Fills each representative's `site_id`, `rank` and `row_start` for
-/// the list's own pair order: every unordered distinct-site pair
-/// `(a, b)`, `a < b`, row by row.
-fn index_pairs(reps: &mut [O2Rep]) {
-    let mut sites: Vec<u32> = reps.iter().map(|r| r.fault.site).collect();
-    sites.sort_unstable();
-    sites.dedup();
-    let mut per_site = vec![0u32; sites.len()];
-    for r in reps.iter_mut() {
-        r.site_id = sites.binary_search(&r.fault.site).expect("listed") as u32;
-        r.rank = per_site[r.site_id as usize];
-        per_site[r.site_id as usize] += 1;
+/// The whole second-order pair space, built once per process: every
+/// shard of every engine worker reuses it.
+fn order2_space() -> &'static O2Space {
+    static SPACE: OnceLock<O2Space> = OnceLock::new();
+    SPACE.get_or_init(|| O2Space::new(order2_reps()))
+}
+
+/// A second-order pair space — the whole representative list, or a
+/// sample of it — with its first-fault classes numbered densely in class
+/// order and grouped for the walk.
+struct O2Space {
+    /// Every representative; a live one's `class` indexes `classes`.
+    reps: Vec<O2Rep>,
+    /// The live representatives, in class order.
+    live: Vec<O2Rep>,
+    /// `(fault, o1)` of `live`, as [`MultiFaultRunner::run_pairs`] takes
+    /// partners.
+    partners: Vec<(FaultInstance, Outcome)>,
+    classes: Vec<O2Class>,
+    /// Total weight of the static representatives.
+    static_weight: u64,
+    /// Weight of the static representatives per site.
+    static_at: BTreeMap<u32, u64>,
+}
+
+/// One first-fault class of an [`O2Space`].
+struct O2Class {
+    /// Its members, in [`O2Space::live`].
+    members: Range<usize>,
+    /// The members' total weight.
+    weight: u64,
+    /// Its pairs' partners are `live[partners..]`: every live
+    /// representative at a site fetched later.
+    partners: usize,
+}
+
+impl O2Space {
+    fn new(mut reps: Vec<O2Rep>) -> O2Space {
+        // Number the classes by first fetch, then site; those of one site
+        // keep the order they were found in.
+        let key = |r: &O2Rep| (r.first_fetch, r.fault.site, r.class);
+        let mut ids: Vec<_> = reps.iter().filter(|r| !r.is_static).map(key).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        for r in reps.iter_mut().filter(|r| !r.is_static) {
+            r.class = ids.binary_search(&key(r)).expect("listed") as u32;
+        }
+        let mut live: Vec<O2Rep> = reps.iter().filter(|r| !r.is_static).copied().collect();
+        live.sort_by_key(|r| r.class);
+        let mut classes: Vec<O2Class> = Vec::with_capacity(ids.len());
+        let mut start = 0;
+        for class in live.chunk_by(|a, b| a.class == b.class) {
+            let weight = class.iter().map(|r| r.weight).sum();
+            classes.push(O2Class { members: start..start + class.len(), weight, partners: 0 });
+            start += class.len();
+        }
+        // The classes of one site are adjacent in class order: each one's
+        // partners start after the last of them.
+        let (mut site, mut end) = (None, live.len());
+        for c in classes.iter_mut().rev() {
+            let here = live[c.members.start].fault.site;
+            if site != Some(here) {
+                (site, end) = (Some(here), c.members.end);
+            }
+            c.partners = end;
+        }
+        let mut static_at = BTreeMap::new();
+        for r in reps.iter().filter(|r| r.is_static) {
+            *static_at.entry(r.fault.site).or_default() += r.weight;
+        }
+        O2Space {
+            partners: live.iter().map(|r| (r.fault, r.o1)).collect(),
+            static_weight: static_at.values().sum(),
+            reps,
+            live,
+            classes,
+            static_at,
+        }
     }
-    let (n, mut next) = (reps.len(), 0u64);
-    for (a, r) in reps.iter_mut().enumerate() {
-        r.row_start = next;
-        // Row `a` pairs with every later rep at another site.
-        next += (n - a - 1) as u64 - u64::from(per_site[r.site_id as usize] - r.rank - 1);
+}
+
+/// The bucket of a pair whose first-firing live member is in class
+/// `class` (`None`: both members are static).
+fn bucket_of(class: Option<u32>) -> u32 {
+    class.map_or(0, |c| c % O2_BUCKETS)
+}
+
+/// The class of a pair's first-firing live member: of two live members,
+/// the one in the earlier class (`None` when both are static).
+fn first_live_class(a: &O2Rep, b: &O2Rep) -> Option<u32> {
+    match (a.is_static, b.is_static) {
+        (true, true) => None,
+        (true, false) => Some(b.class),
+        (false, true) => Some(a.class),
+        (false, false) => Some(a.class.min(b.class)),
     }
 }
 
 /// Which executor runs a second-order bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum O2Executor {
-    /// Each first fault's trial runs once; its pairs fork off it at the
-    /// first fetch of the second fault's site
-    /// ([`MultiFaultRunner::run_pairs`]).
+    /// One walk per first-fault class: its pairs fork off the trial of
+    /// one member at the first fetch of the second fault's site, or are
+    /// settled by state equality ([`MultiFaultRunner::run_pairs`]).
     Fork,
     /// Every both-live pair restores the snapshot and arms both faults
     /// ([`MultiFaultRunner::run`]): the oracle.
     Reference,
 }
 
+/// One second-order bucket's results.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct O2Bucket {
+    /// Weighted pair outcomes.
+    pub tally: Tally,
+    /// The pruning ledger.
+    pub stats: MfStats,
+    /// Steps of the pair trials that ran.
+    pub steps: PairSteps,
+    /// Both-live pairs by what decided their outcome; they sum to
+    /// `stats.simulated`.
+    pub pairs: PairsBy,
+}
+
 /// Executes one bucket of the second-order campaign: every unordered
-/// pair of distinct-site representatives whose linear index falls in
-/// `bucket` (mod [`O2_BUCKETS`]).
+/// pair of distinct-site representatives whose first-firing live member
+/// belongs to a first-fault class in `bucket` ([`O2_BUCKETS`]).
 ///
 /// Pair outcomes: both members No Effect → No Effect; one member No
 /// Effect → the other member's first-order outcome (a No-Effect fault
 /// is indistinguishable from no fault at all); otherwise both faults
-/// are armed in one simulated trial, forked off the trial of the member
-/// that fires first. Weights multiply, so the tallies equal the
-/// unpruned pair space's.
+/// are armed in one trial, forked off the trial of the member that
+/// fires first, and shared by every member of its class. Weights
+/// multiply, so the tallies equal the unpruned pair space's.
 pub fn order2_shard(bucket: u32) -> (Tally, MfStats) {
     record_order2(order2_bucket(bucket, 1, O2Executor::Fork))
 }
@@ -262,45 +363,46 @@ pub fn order2_shard_reference(bucket: u32) -> (Tally, MfStats) {
     record_order2(order2_bucket(bucket, 1, O2Executor::Reference))
 }
 
-fn record_order2((tally, stats, steps): (Tally, MfStats, PairSteps)) -> (Tally, MfStats) {
-    metrics::simulated(metrics::PAIRS_LABEL).add(stats.simulated);
-    metrics::candidates(metrics::PAIRS_LABEL).add(stats.enumerated);
-    metrics::pruned(metrics::PAIRS_LABEL).add(stats.pruned);
-    metrics::record_tally(metrics::PAIRS_LABEL, &tally);
-    metrics::pair_steps("shared").add(steps.shared);
-    metrics::pair_steps("executed").add(steps.executed);
-    metrics::pair_steps("slid").add(steps.slid);
-    (tally, stats)
+fn record_order2(run: O2Bucket) -> (Tally, MfStats) {
+    metrics::simulated(metrics::PAIRS_LABEL).add(run.stats.simulated);
+    metrics::candidates(metrics::PAIRS_LABEL).add(run.stats.enumerated);
+    metrics::pruned(metrics::PAIRS_LABEL).add(run.stats.pruned);
+    metrics::record_tally(metrics::PAIRS_LABEL, &run.tally);
+    metrics::pair_steps("shared").add(run.steps.shared);
+    metrics::pair_steps("executed").add(run.steps.executed);
+    metrics::pair_steps("slid").add(run.steps.slid);
+    metrics::pairs("trial").add(run.pairs.trial);
+    metrics::pairs("class").add(run.pairs.class);
+    metrics::pairs("rejoin").add(run.pairs.rejoin);
+    metrics::pairs("merge").add(run.pairs.merge);
+    metrics::pairs("first").add(run.pairs.first);
+    (run.tally, run.stats)
 }
 
 /// One bucket of the second-order campaign over every `stride`-th
-/// representative (`1`: the whole pair space), with its pair-trial step
-/// ledger; records no metrics.
+/// representative (`1`: the whole pair space), whose first-fault classes
+/// are those of the whole space restricted to the sample and numbered
+/// afresh; records no metrics.
 ///
 /// # Panics
 ///
 /// Panics if `stride` is zero.
-pub fn order2_bucket(
-    bucket: u32,
-    stride: usize,
-    executor: O2Executor,
-) -> (Tally, MfStats, PairSteps) {
-    let all = order2_reps();
-    let mut sample: Vec<O2Rep>;
-    let reps = if stride == 1 {
-        all.as_slice()
+pub fn order2_bucket(bucket: u32, stride: usize, executor: O2Executor) -> O2Bucket {
+    let full = order2_space();
+    let sample;
+    let space = if stride == 1 {
+        full
     } else {
-        sample = all.iter().step_by(stride).copied().collect();
-        index_pairs(&mut sample);
+        sample = O2Space::new(full.reps.iter().step_by(stride).copied().collect());
         &sample
     };
     let mut runner = boot_campaign().runner();
-    let (tally, mut stats, steps) = match executor {
-        O2Executor::Fork => order2_walk(reps, bucket, &mut runner),
-        O2Executor::Reference => order2_reference(reps, bucket, &mut runner),
+    let mut run = match executor {
+        O2Executor::Fork => order2_walk(space, bucket, &mut runner),
+        O2Executor::Reference => order2_reference(space, bucket, &mut runner),
     };
-    stats.pruned = stats.enumerated - stats.simulated;
-    (tally, stats, steps)
+    run.stats.pruned = run.stats.enumerated - run.stats.simulated;
+    run
 }
 
 /// The outcome of a pair with a statically No-Effect member (such a
@@ -315,106 +417,68 @@ fn static_pair(a: &O2Rep, b: &O2Rep) -> Option<Outcome> {
     }
 }
 
-/// The reference executor: pairs in linear index order, each both-live
-/// one simulated from the snapshot.
-fn order2_reference(
-    reps: &[O2Rep],
-    bucket: u32,
-    runner: &mut MultiFaultRunner,
-) -> (Tally, MfStats, PairSteps) {
-    let mut tally = Tally::default();
-    let mut stats = MfStats::default();
-    let mut steps = PairSteps::default();
-    let mut index = 0u64;
-    for a in 0..reps.len() {
-        for b in (a + 1)..reps.len() {
-            let (ra, rb) = (reps[a], reps[b]);
-            if ra.fault.site == rb.fault.site {
+/// The reference executor: every pair of the bucket, each both-live one
+/// simulated from the snapshot.
+fn order2_reference(space: &O2Space, bucket: u32, runner: &mut MultiFaultRunner) -> O2Bucket {
+    let mut run = O2Bucket::default();
+    for (a, ra) in space.reps.iter().enumerate() {
+        for rb in &space.reps[a + 1..] {
+            if ra.fault.site == rb.fault.site || bucket_of(first_live_class(ra, rb)) != bucket {
                 continue; // one fetch, one fault: same-site pairs are undefined
             }
-            let mine = index % u64::from(O2_BUCKETS) == u64::from(bucket);
-            index += 1;
-            if !mine {
-                continue;
-            }
             let weight = ra.weight * rb.weight;
-            stats.enumerated += weight;
-            let outcome = static_pair(&ra, &rb).unwrap_or_else(|| {
-                stats.simulated += 1;
+            run.stats.enumerated += weight;
+            let outcome = static_pair(ra, rb).unwrap_or_else(|| {
+                run.stats.simulated += 1;
+                run.pairs.trial += 1;
                 let (outcome, n) = runner.run_counted(&[ra.fault, rb.fault]);
-                steps.merge(&n);
+                run.steps.merge(&n);
                 outcome
             });
-            tally.record_n(outcome, weight);
+            run.tally.record_n(outcome, weight);
         }
     }
-    (tally, stats, steps)
+    run
 }
 
-/// The fork walk: the same pairs as [`order2_reference`], grouped by the
-/// member that fires first. Each first fault `x` gathers its partners in
-/// the bucket — row `x`'s pairs `(x, y > x)` in index order, plus the
-/// pairs `(y < x, x)` whose index follows from `y`'s row start — and
-/// [`MultiFaultRunner::run_pairs`] runs them off `x`'s trial. Memory is
-/// O(reps): no bucket's pair list is ever materialized.
-fn order2_walk(
-    reps: &[O2Rep],
-    bucket: u32,
-    runner: &mut MultiFaultRunner,
-) -> (Tally, MfStats, PairSteps) {
-    let buckets = u64::from(O2_BUCKETS);
-    let fires_before = |a: usize, b: usize| (reps[a].first_fetch, a) < (reps[b].first_fetch, b);
-    let sites = reps.iter().map(|r| r.site_id as usize + 1).max().unwrap_or(0);
-    let mut tally = Tally::default();
-    let mut stats = MfStats::default();
-    let mut steps = PairSteps::default();
-    let mut seen = vec![0u32; sites]; // reps before `x`, per site
-    let (mut partners, mut faults, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
-    for (x, &rx) in reps.iter().enumerate() {
-        partners.clear();
-        let mut index = rx.row_start;
-        for (y, ry) in reps.iter().enumerate().skip(x + 1) {
-            if ry.fault.site == rx.fault.site {
-                continue;
-            }
-            let mine = index % buckets == u64::from(bucket);
-            index += 1;
-            if !mine {
-                continue;
-            }
-            let weight = rx.weight * ry.weight;
-            stats.enumerated += weight;
-            match static_pair(&rx, ry) {
-                Some(outcome) => tally.record_n(outcome, weight),
-                // A pair whose other member fires first is walked with it.
-                None if fires_before(x, y) => partners.push(y),
-                None => {}
-            }
+/// The fork walk: the same pairs as [`order2_reference`], by first-fault
+/// class. A class's pairs with static partners take its members' shared
+/// first-order outcome; its both-live pairs are walked once, off one
+/// member's trial ([`MultiFaultRunner::run_pairs`]), each outcome
+/// weighted by the class's total weight times the partner's. Pairs of
+/// two static members are tallied in closed form.
+fn order2_walk(space: &O2Space, bucket: u32, runner: &mut MultiFaultRunner) -> O2Bucket {
+    let mut run = O2Bucket::default();
+    if bucket_of(None) == bucket {
+        let same_site: u64 = space.static_at.values().map(|w| w * w).sum();
+        let weight = (space.static_weight * space.static_weight - same_site) / 2;
+        run.tally.record_n(Outcome::NoEffect, weight);
+        run.stats.enumerated += weight;
+    }
+    let mut outcomes = Vec::new();
+    for (c, class) in space.classes.iter().enumerate() {
+        if bucket_of(Some(c as u32)) != bucket {
+            continue;
         }
-        if !rx.is_static {
-            for (y, ry) in reps.iter().enumerate().take(x) {
-                if ry.is_static || ry.fault.site == rx.fault.site || fires_before(y, x) {
-                    continue;
-                }
-                // Position of `x` in row `y`: the reps between them, less
-                // those sharing `y`'s site.
-                let same = u64::from(seen[ry.site_id as usize] - ry.rank - 1);
-                if (ry.row_start + (x - y - 1) as u64 - same) % buckets == u64::from(bucket) {
-                    partners.push(y);
-                }
-            }
-        }
-        seen[rx.site_id as usize] += 1;
+        let first = space.live[class.members.start];
+        let statics = space.static_weight - space.static_at.get(&first.fault.site).unwrap_or(&0);
+        run.tally.record_n(first.o1, class.weight * statics);
+        run.stats.enumerated += class.weight * statics;
+        let partners = &space.partners[class.partners..];
         if partners.is_empty() {
             continue;
         }
-        faults.clear();
-        faults.extend(partners.iter().map(|&y| reps[y].fault));
-        steps.merge(&runner.run_pairs(rx.fault, &faults, &mut outcomes));
-        stats.simulated += partners.len() as u64;
-        for (&y, &outcome) in partners.iter().zip(&outcomes) {
-            tally.record_n(outcome, rx.weight * reps[y].weight);
+        let (steps, by) = runner.run_pairs(first.fault, partners, &mut outcomes);
+        run.steps.merge(&steps);
+        run.pairs.merge(&by);
+        let members = class.members.len() as u64;
+        run.pairs.class += (members - 1) * partners.len() as u64;
+        run.stats.simulated += members * partners.len() as u64;
+        for (p, &outcome) in space.live[class.partners..].iter().zip(&outcomes) {
+            let weight = class.weight * p.weight;
+            run.tally.record_n(outcome, weight);
+            run.stats.enumerated += weight;
         }
     }
-    (tally, stats, steps)
+    run
 }

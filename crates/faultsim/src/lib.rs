@@ -46,9 +46,9 @@ pub mod runner;
 
 pub use boot::{
     boot_campaign, order1_shard, order2_bucket, order2_shard, order2_shard_reference, MfStats,
-    O2Executor, O2_BUCKETS, O2_MODELS, SCOPE_FUNCS,
+    O2Bucket, O2Executor, O2_BUCKETS, O2_MODELS, SCOPE_FUNCS,
 };
 pub use metrics::register_metrics;
 pub use model::{FaultInstance, FaultModel, Registry, SiteInfo};
 pub use prune::{halfword_slots, prune_model, sites, FaultClass, ModelClasses};
-pub use runner::{DivergenceRunner, MultiFaultRunner, PairSteps, MF_TRIAL_STEPS};
+pub use runner::{DivergenceRunner, Fired, MultiFaultRunner, PairSteps, PairsBy, MF_TRIAL_STEPS};

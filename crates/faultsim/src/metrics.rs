@@ -54,6 +54,22 @@ pub fn pair_steps(kind: &str) -> Arc<Counter> {
     )
 }
 
+/// Both-live second-order pairs decided `by` a pair trial (`"trial"`), or
+/// settled by state equality: shared with their first fault's class
+/// (`"class"`), rejoining the unfaulted trial (`"rejoin"`), or taking the
+/// first fault's own outcome (`"merge"`, `"first"`) — see
+/// [`PairsBy`](crate::PairsBy).
+pub fn pairs(by: &str) -> Arc<Counter> {
+    gd_obs::counter(
+        "gd_faultsim_pairs_total",
+        "both-live second-order pairs, by what decided their outcome",
+        &[("by", by)],
+    )
+}
+
+/// The `by` labels of [`pairs`].
+const PAIRS_BY: [&str; 5] = ["trial", "class", "rejoin", "merge", "first"];
+
 /// Weighted trial outcomes for `model` and `outcome`.
 pub fn outcomes(model: &str, outcome: Outcome) -> Arc<Counter> {
     gd_obs::counter(
@@ -89,6 +105,9 @@ pub fn register_metrics() {
     let _ = pair_steps("shared");
     let _ = pair_steps("executed");
     let _ = pair_steps("slid");
+    for by in PAIRS_BY {
+        let _ = pairs(by);
+    }
 }
 
 #[cfg(test)]
@@ -105,6 +124,7 @@ mod tests {
             "# TYPE gd_faultsim_simulated_total counter",
             "# TYPE gd_faultsim_outcomes_total counter",
             "# TYPE gd_faultsim_pair_steps_total counter",
+            "# TYPE gd_faultsim_pairs_total counter",
         ] {
             assert!(text.contains(family), "missing {family:?}");
         }
@@ -112,5 +132,8 @@ mod tests {
         assert!(text.contains(r#"gd_faultsim_outcomes_total{model="pairs",outcome="Success"}"#));
         assert!(text.contains(r#"gd_faultsim_pair_steps_total{kind="shared"}"#));
         assert!(text.contains(r#"gd_faultsim_pair_steps_total{kind="slid"}"#));
+        for by in PAIRS_BY {
+            assert!(text.contains(&format!(r#"gd_faultsim_pairs_total{{by="{by}"}}"#)));
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! trial.
 
 use gd_backend::FirmwareImage;
-use gd_emu::{Config, Emu, Fault, PredecodedImage, Snapshot, StepOutcome, StopReason, ZERO_FILL};
+use gd_emu::{
+    Config, Emu, Fault, Fork, PredecodedImage, Snapshot, StepOutcome, StopReason, ZERO_FILL,
+};
 use gd_firmware::BOOT_MARKER;
 use gd_glitch_emu::Outcome;
 use gd_thumb::Reg;
@@ -41,6 +43,11 @@ struct Trial {
 impl Trial {
     fn new(budget: u64) -> Trial {
         Trial { left: budget, slid: 0, compromised: false, stop: None, fault: None }
+    }
+
+    /// Whether the trial stopped, faulted or exhausted its budget.
+    fn ended(&self) -> bool {
+        self.left == 0 || self.stop.is_some() || self.fault.is_some()
     }
 }
 
@@ -106,10 +113,10 @@ impl Booted {
         }
     }
 
-    /// The one trial step loop. Steps until the trial stops, faults or
-    /// exhausts its budget (returning `true`), or until the next fetch
-    /// is at a PC `pause` selects (returning `false`, that fetch not yet
-    /// made). `pause` is given the PC and the trial's steps so far.
+    /// The one trial step loop. Steps until the trial ends (returning
+    /// `true`), or until the next fetch is at a PC `pause` selects
+    /// (returning `false`, that fetch not yet made). `pause` is given the
+    /// PC and the trial's steps so far.
     ///
     /// Runs of zero-filled flash outside the text table are slid through
     /// ([`Emu::slide`]), so `pause` sees every fetch PC inside the text
@@ -121,33 +128,33 @@ impl Booted {
         watch: Option<(u32, u32)>,
         mut pause: impl FnMut(u32, u64) -> bool,
     ) -> bool {
-        while trial.left > 0 {
+        while !trial.ended() {
             if pause(self.emu.pc(), self.budget - trial.left) {
                 return false;
             }
-            trial.left -= 1;
-            match self.emu.step_predecoded(&self.image) {
-                Ok(StepOutcome::Step(s)) => {
-                    if watch.is_some() && s.store == watch {
-                        trial.compromised = true;
-                    }
-                    if s.instr == ZERO_FILL {
-                        let n = self.emu.slide(self.slide_limit(trial.left));
-                        trial.left -= n;
-                        trial.slid += n;
-                    }
-                }
-                Ok(StepOutcome::Stop { reason, .. }) => {
-                    trial.stop = Some(reason);
-                    return true;
-                }
-                Err(f) => {
-                    trial.fault = Some(f);
-                    return true;
-                }
-            }
+            self.step(trial, watch);
         }
         true
+    }
+
+    /// Dispatches one step of `trial`, then slides on through any
+    /// zero-filled flash it entered.
+    fn step(&mut self, trial: &mut Trial, watch: Option<(u32, u32)>) {
+        trial.left -= 1;
+        match self.emu.step_predecoded(&self.image) {
+            Ok(StepOutcome::Step(s)) => {
+                if watch.is_some() && s.store == watch {
+                    trial.compromised = true;
+                }
+                if s.instr == ZERO_FILL {
+                    let n = self.emu.slide(self.slide_limit(trial.left));
+                    trial.left -= n;
+                    trial.slid += n;
+                }
+            }
+            Ok(StepOutcome::Stop { reason, .. }) => trial.stop = Some(reason),
+            Err(f) => trial.fault = Some(f),
+        }
     }
 
     /// How far the emulator may slide from its PC: up to `left` steps,
@@ -173,15 +180,15 @@ impl Booted {
     }
 }
 
-/// Step ledger of second-order pair trials: every pair trial's steps
-/// are either inherited from its first fault's trial or run for it, and
-/// those run for it are either dispatched or slid through zero-filled
-/// flash.
+/// Step ledger of the second-order pair trials that ran: each ran from a
+/// fork off its first fault's trial, sharing that trial's steps up to
+/// the fork, and ran its own steps either dispatched or slid through
+/// zero-filled flash. Pairs settled without a trial of their own
+/// ([`PairsBy`]) add nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairSteps {
     /// Steps a pair trial shares with its first fault's trial, up to the
-    /// fork at the first fetch of the second fault's site (the whole
-    /// trial when that site is never fetched).
+    /// fork at the first fetch of the second fault's site.
     pub shared: u64,
     /// Steps dispatched for pair trials alone.
     pub executed: u64,
@@ -205,18 +212,71 @@ impl PairSteps {
     }
 }
 
+/// Both-live pairs by what decided their outcome: a pair trial of their
+/// own, or a state equality that makes it an outcome already known.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairsBy {
+    /// Ran a pair trial, forked off the first fault's trial.
+    pub trial: u64,
+    /// Took the outcome of the same partner paired with another member
+    /// of the first fault's class ([`MultiFaultRunner::run_classed`]).
+    pub class: u64,
+    /// Took the partner's first-order outcome: the first fault's trial
+    /// rejoined the unfaulted trial before fetching the partner's site.
+    pub rejoin: u64,
+    /// Took the first fault's own outcome: the partner's faulted step
+    /// reached the state the first fault's trial reached without it.
+    pub merge: u64,
+    /// Took the first fault's own outcome: its trial never fetches the
+    /// partner's site.
+    pub first: u64,
+}
+
+impl PairsBy {
+    /// Every pair counted.
+    pub fn total(&self) -> u64 {
+        self.trial + self.class + self.rejoin + self.merge + self.first
+    }
+
+    /// Adds `other` into these counts.
+    pub fn merge(&mut self, other: &PairsBy) {
+        self.trial += other.trial;
+        self.class += other.class;
+        self.rejoin += other.rejoin;
+        self.merge += other.merge;
+        self.first += other.first;
+    }
+}
+
+/// Where a fault's trial stands just after the fault first fires — what
+/// [`MultiFaultRunner::run_classed`] compares to group the faults at one
+/// site into first-fault classes.
+#[derive(Debug)]
+pub struct Fired(FiredState);
+
+#[derive(Debug)]
+enum FiredState {
+    /// Running on from this state, with this compromise flag.
+    Runs(Fork, bool),
+    /// Ended at that step: stop, fault, compromise flag and final `r0`.
+    Ended((Option<StopReason>, Option<Fault>, bool, u32)),
+    /// Never fires: the unfaulted trial never fetches its site.
+    Never,
+}
+
 /// Replays `firmware::boot` under sets of armed fault injections and
 /// classifies each trial.
 ///
 /// Construction boots the image once and advances to the first fetch
-/// inside any scoped range, snapshots, and replays one unfaulted trial
-/// to record when each halfword is first fetched. Each trial restores
-/// the snapshot (dropping the previous trial's injections), arms the
-/// set, invalidates the injected sites in a working copy of the
-/// micro-op table (injections apply on the live fallback path only),
-/// runs with a compromise watch on the uart store, and heals the table
-/// from a pristine copy. [`MultiFaultRunner::run_pairs`] runs many
-/// two-fault trials that share a first fault off that fault's trial.
+/// inside any scoped range, snapshots, and replays one unfaulted trial,
+/// recording when each halfword is first fetched and a [`Fork`] at every
+/// step it dispatches. Each trial restores the snapshot (dropping the
+/// previous trial's injections), arms the set, invalidates the injected
+/// sites in a working copy of the micro-op table (injections apply on
+/// the live fallback path only), runs with a compromise watch on the
+/// uart store, and heals the table from a pristine copy.
+/// [`MultiFaultRunner::run_pairs`] runs many two-fault trials that share
+/// a first fault off that fault's trial.
 #[derive(Debug)]
 pub struct MultiFaultRunner {
     booted: Booted,
@@ -225,11 +285,19 @@ pub struct MultiFaultRunner {
     /// Per text halfword: the unfaulted trial's step at its first fetch
     /// (`u32::MAX`: never fetched).
     first_fetch: Vec<u32>,
+    /// The unfaulted trial's state before each step it dispatched, by
+    /// step (`None`: slid past). Empty if that trial ever stores the
+    /// compromise value, so nothing rejoins it.
+    baseline: Vec<Option<Fork>>,
+    /// The unfaulted trial's outcome.
+    unfaulted: Outcome,
     /// Fork-walk scratch: per text halfword, whether a partner's site
     /// there still awaits its first fetch.
     pending: Vec<bool>,
     /// Fork-walk scratch: partner indices ordered by site.
     by_site: Vec<usize>,
+    /// Fork-walk scratch: partners that take the first fault's outcome.
+    merged: Vec<usize>,
 }
 
 impl MultiFaultRunner {
@@ -238,19 +306,36 @@ impl MultiFaultRunner {
     /// scoped fetch happens within the budget.
     pub fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> MultiFaultRunner {
         let mut booted = Booted::new(image, cfg, scope);
+        let watch = (image.symbol("uart_out"), COMPROMISE_VALUE);
         let mut first_fetch = vec![u32::MAX; booted.pristine.len()];
-        let base = booted.pristine.base();
-        booted.run(&mut Trial::new(booted.budget), None, |pc, step| {
-            let i = (pc.wrapping_sub(base) >> 1) as usize;
-            if let Some(first) = first_fetch.get_mut(i) {
-                *first = (*first).min(step as u32);
+        let mut baseline = Vec::new();
+        booted.emu.restore(&booted.snap);
+        let mut trial = Trial::new(booted.budget);
+        while !trial.ended() {
+            let step = booted.budget - trial.left;
+            if let Some(i) = booted.slot_index(booted.emu.pc()) {
+                first_fetch[i] = first_fetch[i].min(step as u32);
             }
-            false
-        });
+            baseline.resize_with(step as usize, || None);
+            baseline.push(Some(booted.emu.fork()));
+            booted.step(&mut trial, Some(watch));
+        }
+        let unfaulted = classify(&booted.emu, &trial);
+        if trial.compromised {
+            baseline.clear();
+        }
         booted.emu.restore(&booted.snap);
         let pending = vec![false; first_fetch.len()];
-        let watch = (image.symbol("uart_out"), COMPROMISE_VALUE);
-        MultiFaultRunner { booted, watch, first_fetch, pending, by_site: Vec::new() }
+        MultiFaultRunner {
+            booted,
+            watch,
+            first_fetch,
+            baseline,
+            unfaulted,
+            pending,
+            by_site: Vec::new(),
+            merged: Vec::new(),
+        }
     }
 
     /// Steps already replayed into the snapshot (per-trial budget is
@@ -289,20 +374,90 @@ impl MultiFaultRunner {
         let mut trial = start;
         self.booted.run(&mut trial, Some(self.watch), |_, _| false);
         self.booted.heal(faults);
-        (self.classify(&trial), PairSteps::run_since(&start, &trial))
+        (classify(&self.booted.emu, &trial), PairSteps::run_since(&start, &trial))
     }
 
-    /// Runs the pair trial `{first, p}` for every `p` in `partners`,
-    /// writing outcomes to `outcomes` in `partners` order — each equal
-    /// to `run(&[first, p])` — while simulating `first`'s trial once.
+    /// [`MultiFaultRunner::run`] for one fault, also placing it in a
+    /// first-fault class: `classes` holds the classes found so far at its
+    /// site (empty for a new site). Returns the outcome and the index of
+    /// the fault's class there, appending a class if none matches.
+    ///
+    /// Until a fault fires, its trial is the unfaulted one. So two faults
+    /// at one site are interchangeable as the first-firing fault of a
+    /// pair — each such pair's trial is the same from there on — when
+    /// their trials are in the same state just after they fire
+    /// ([`Emu::same_state`], with equal compromise flags), or both end at
+    /// that step with the same stop or fault, compromise flag and `r0`,
+    /// or both never fire. The trial pauses there to compare, then runs
+    /// on: no step is taken twice.
+    pub fn run_classed(
+        &mut self,
+        fault: FaultInstance,
+        classes: &mut Vec<Fired>,
+    ) -> (Outcome, usize) {
+        let watch = Some(self.watch);
+        let fires = self.first_fetch(fault.site).map(u64::from);
+        self.booted.arm(&[fault]);
+        let mut trial = Trial::new(self.booted.budget);
+        if let Some(at) = fires {
+            if !self.booted.run(&mut trial, watch, |_, step| step == at) {
+                self.booted.step(&mut trial, watch);
+            }
+        }
+        let (booted, r0) = (&self.booted, self.booted.emu.cpu.reg(Reg::R0));
+        let ended = (trial.stop, trial.fault, trial.compromised, r0);
+        let same = |class: &Fired| match (&class.0, fires) {
+            (FiredState::Never, None) => true,
+            (FiredState::Runs(fork, compromised), Some(_)) => {
+                !trial.ended()
+                    && *compromised == trial.compromised
+                    && booted.emu.same_state(&booted.snap, fork)
+            }
+            (FiredState::Ended(end), Some(_)) => trial.ended() && *end == ended,
+            _ => false,
+        };
+        let class = classes.iter().position(same).unwrap_or_else(|| {
+            classes.push(Fired(match fires {
+                None => FiredState::Never,
+                Some(_) if trial.ended() => FiredState::Ended(ended),
+                Some(_) => FiredState::Runs(self.booted.emu.fork(), trial.compromised),
+            }));
+            classes.len() - 1
+        });
+        self.booted.run(&mut trial, watch, |_, _| false);
+        self.booted.heal(&[fault]);
+        (classify(&self.booted.emu, &trial), class)
+    }
+
+    /// Runs the pair trial `{first, p}` for every `(p, o1)` in `partners`,
+    /// where `o1` is `run(&[p])`, writing outcomes to `outcomes` in
+    /// `partners` order — each equal to `run(&[first, p])` — while
+    /// simulating `first`'s trial at most once. Returns the step ledger
+    /// of the pair trials that ran and what decided each pair.
     ///
     /// Until the first fetch of `p`'s site, the pair trial *is* `first`'s
     /// trial: an injection acts only at a fetch of its site, and an
     /// invalidated slot only moves dispatch to the equivalent live path.
-    /// So the walk runs `first`'s trial, forks at the first fetch of
-    /// each partner site, runs each partner there from the fork to the
-    /// end (carrying the compromise flag), and resumes `first`.
-    /// Partners whose site is never fetched take `first`'s outcome.
+    /// So the walk runs `first`'s trial. At the first fetch of each
+    /// pending partner site it forks, steps `first`'s trial once and
+    /// forks again; each partner there runs from the first fork to the
+    /// end (carrying the budget left and the compromise flag), and the
+    /// walk resumes from the second fork, so no step runs twice. Three
+    /// state equalities settle partners without a trial of their own:
+    ///
+    /// - *merge*: a partner whose faulted step, its injection spent,
+    ///   reaches the second fork's state ([`Emu::same_state`], equal
+    ///   compromise flag) has `first`'s trial from there on, and takes
+    ///   `first`'s own outcome.
+    /// - *rejoin*: once `first` has fired, its trial may reach the
+    ///   unfaulted trial's state at the same step, uncompromised. From
+    ///   there it *is* the unfaulted trial, and so is each partner's own
+    ///   trial if the unfaulted trial first fetches the partner's site at
+    ///   or after that step: those partners take their `o1`. Partners it
+    ///   fetched earlier are still walked. With none left the walk
+    ///   stops, and `first`'s own outcome is the unfaulted one.
+    /// - *first*: partners whose site `first`'s trial never fetches take
+    ///   `first`'s outcome: their trial *is* `first`'s.
     ///
     /// # Panics
     ///
@@ -311,17 +466,20 @@ impl MultiFaultRunner {
     pub fn run_pairs(
         &mut self,
         first: FaultInstance,
-        partners: &[FaultInstance],
+        partners: &[(FaultInstance, Outcome)],
         outcomes: &mut Vec<Outcome>,
-    ) -> PairSteps {
+    ) -> (PairSteps, PairsBy) {
         let mut by_site = std::mem::take(&mut self.by_site);
         by_site.clear();
         by_site.extend(0..partners.len());
-        by_site.sort_unstable_by_key(|&i| partners[i].site);
-        for p in partners {
+        by_site.sort_unstable_by_key(|&i| partners[i].0.site);
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        let mut left = 0; // partner sites still awaiting their first fetch
+        for (p, _) in partners {
             assert_ne!(p.site, first.site, "a pair needs two sites");
             let i = self.booted.slot_index(p.site).expect("partner site in text");
-            self.pending[i] = true;
+            left += usize::from(!std::mem::replace(&mut self.pending[i], true));
         }
         outcomes.clear();
         outcomes.resize(partners.len(), Outcome::NoEffect);
@@ -330,66 +488,126 @@ impl MultiFaultRunner {
         let base = self.booted.pristine.base();
         let slot = |addr: u32| (addr.wrapping_sub(base) >> 1) as usize;
         let mut steps = PairSteps::default();
+        let mut by = PairsBy::default();
+        // From the step after `first` fires, its trial may rejoin the
+        // unfaulted one.
+        let mut rejoin_from = self.first_fetch(first.site).map_or(u64::MAX, |at| u64::from(at) + 1);
+        let mut alone = None; // `first`'s own outcome, once known
         self.booted.arm(&[first]);
         let mut trial = Trial::new(budget);
-        loop {
-            let pending = &self.pending;
-            if self.booted.run(&mut trial, watch, |pc, _| pending.get(slot(pc)) == Some(&true)) {
+        while left > 0 || (alone.is_none() && !merged.is_empty()) {
+            let (pending, baseline) = (&self.pending, &self.baseline);
+            let rejoin = |pc: u32, step: u64| {
+                let unfaulted = baseline.get(step as usize).and_then(Option::as_ref);
+                step >= rejoin_from && unfaulted.is_some_and(|b| b.pc() == pc)
+            };
+            let pause =
+                |pc: u32, step: u64| pending.get(slot(pc)) == Some(&true) || rejoin(pc, step);
+            if self.booted.run(&mut trial, watch, pause) {
                 break;
             }
-            let site = self.booted.emu.pc();
-            self.pending[slot(site)] = false;
-            let fork = self.booted.emu.fork();
-            let lo = by_site.partition_point(|&i| partners[i].site < site);
-            for (k, &i) in
-                by_site[lo..].iter().take_while(|&&i| partners[i].site == site).enumerate()
-            {
-                if k > 0 {
-                    self.booted.emu.resume(&self.booted.snap, &fork);
+            let (pc, step) = (self.booted.emu.pc(), budget - trial.left);
+            if rejoin(pc, step) {
+                let unfaulted = self.baseline[step as usize].as_ref().expect("paused at a step");
+                if trial.compromised {
+                    rejoin_from = u64::MAX;
+                } else if self.booted.emu.same_state(&self.booted.snap, unfaulted) {
+                    rejoin_from = u64::MAX;
+                    alone = Some(self.unfaulted);
+                    for site in by_site.chunk_by(|&a, &b| partners[a].0.site == partners[b].0.site)
+                    {
+                        let s = slot(partners[site[0]].0.site);
+                        if self.pending[s] && u64::from(self.first_fetch[s]) >= step {
+                            self.pending[s] = false;
+                            left -= 1;
+                            for &i in site {
+                                outcomes[i] = partners[i].1;
+                            }
+                            by.rejoin += site.len() as u64;
+                        }
+                    }
                 }
-                let second = partners[i];
+            }
+            if !std::mem::replace(&mut self.pending[slot(pc)], false) {
+                self.booted.step(&mut trial, watch); // paused only to check a rejoin
+                continue;
+            }
+            left -= 1;
+            let fork = self.booted.emu.fork();
+            let at = trial;
+            self.booted.step(&mut trial, watch);
+            let next = if trial.ended() {
+                alone = alone.or(Some(classify(&self.booted.emu, &trial)));
+                None
+            } else {
+                Some(self.booted.emu.fork())
+            };
+            let lo = by_site.partition_point(|&i| partners[i].0.site < pc);
+            for &i in by_site[lo..].iter().take_while(|&&i| partners[i].0.site == pc) {
+                self.booted.emu.resume(&self.booted.snap, &fork);
+                let second = partners[i].0;
                 self.booted.emu.inject(second.injection());
                 self.booted.image.invalidate_range(second.site, 2);
-                let mut pair = trial;
-                self.booted.run(&mut pair, watch, |_, _| false);
+                let mut pair = at;
+                self.booted.step(&mut pair, watch);
+                let noop = !pair.ended()
+                    && pair.compromised == trial.compromised
+                    && next
+                        .as_ref()
+                        .is_some_and(|n| self.booted.emu.same_state(&self.booted.snap, n));
+                if noop {
+                    merged.push(i);
+                    by.merge += 1;
+                } else {
+                    self.booted.run(&mut pair, watch, |_, _| false);
+                    outcomes[i] = classify(&self.booted.emu, &pair);
+                    by.trial += 1;
+                }
                 // Adjacent sites share a slot: healing the second fault's
                 // range must not revalidate the first's.
                 self.booted.heal(&[second]);
                 self.booted.image.invalidate_range(first.site, 2);
-                outcomes[i] = self.classify(&pair);
-                steps.shared += budget - trial.left;
-                steps.merge(&PairSteps::run_since(&trial, &pair));
+                steps.shared += budget - at.left;
+                steps.merge(&PairSteps::run_since(&at, &pair));
             }
-            self.booted.emu.resume(&self.booted.snap, &fork);
+            match &next {
+                Some(next) => self.booted.emu.resume(&self.booted.snap, next),
+                None => break,
+            }
         }
         self.booted.heal(&[first]);
-
-        let alone = self.classify(&trial);
-        for (p, outcome) in partners.iter().zip(outcomes.iter_mut()) {
-            if self.pending[slot(p.site)] {
-                *outcome = alone;
-                steps.shared += budget - trial.left;
-            }
+        if trial.ended() && alone.is_none() {
+            alone = Some(classify(&self.booted.emu, &trial));
         }
-        for p in partners {
-            self.pending[slot(p.site)] = false;
+
+        for &i in &merged {
+            outcomes[i] = alone.expect("the walk ran until first's outcome was known");
+        }
+        for site in by_site.chunk_by(|&a, &b| partners[a].0.site == partners[b].0.site) {
+            if std::mem::replace(&mut self.pending[slot(partners[site[0]].0.site)], false) {
+                for &i in site {
+                    outcomes[i] = alone.expect("the walk ran to its end");
+                }
+                by.first += site.len() as u64;
+            }
         }
         self.by_site = by_site;
-        steps
+        self.merged = merged;
+        (steps, by)
     }
+}
 
-    fn classify(&self, trial: &Trial) -> Outcome {
-        if trial.compromised {
-            return Outcome::Success;
-        }
-        match (trial.stop, trial.fault) {
-            (Some(StopReason::Bkpt(_)), _) if self.booted.emu.cpu.reg(Reg::R0) == BOOT_MARKER => {
-                Outcome::NoEffect
-            }
-            (Some(_), _) => Outcome::Failed,
-            (None, Some(f)) => Outcome::from_fault(&f),
-            (None, None) => Outcome::Failed, // step budget exhausted
-        }
+/// Classifies a finished trial of `firmware::boot` (see
+/// [`MultiFaultRunner::run`]); `emu` holds its final state.
+fn classify(emu: &Emu, trial: &Trial) -> Outcome {
+    if trial.compromised {
+        return Outcome::Success;
+    }
+    match (trial.stop, trial.fault) {
+        (Some(StopReason::Bkpt(_)), _) if emu.cpu.reg(Reg::R0) == BOOT_MARKER => Outcome::NoEffect,
+        (Some(_), _) => Outcome::Failed,
+        (None, Some(f)) => Outcome::from_fault(&f),
+        (None, None) => Outcome::Failed, // step budget exhausted
     }
 }
 

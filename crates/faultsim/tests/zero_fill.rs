@@ -3,36 +3,13 @@
 //! fetch must stay visible to the fork walk, and in the flash's zero
 //! fill after it, where trials slide to the end of their budget.
 
-use std::collections::BTreeMap;
+mod common;
 
-use gd_backend::layout::{FLASH_BASE, SRAM_BASE};
-use gd_backend::{FirmwareImage, SectionSizes};
-use gd_emu::{Config, InjectKind, Persistence};
-use gd_faultsim::{DivergenceRunner, FaultInstance, MultiFaultRunner};
+use common::{fault, image, text_scope};
+use gd_backend::layout::FLASH_BASE;
+use gd_emu::{Config, InjectKind};
+use gd_faultsim::{DivergenceRunner, MultiFaultRunner};
 use gd_glitch_emu::Outcome;
-
-/// An image of `src` at the flash base, entered at its first byte.
-fn image(src: &str) -> FirmwareImage {
-    let prog = gd_thumb::asm::assemble(src, FLASH_BASE).expect("assembles");
-    FirmwareImage {
-        sizes: SectionSizes { text: prog.code.len() as u32, ..SectionSizes::default() },
-        text: prog.code,
-        text_base: FLASH_BASE,
-        data: Vec::new(),
-        symbols: BTreeMap::from([("uart_out".to_owned(), SRAM_BASE)]),
-        entry: FLASH_BASE,
-        global_sections: BTreeMap::new(),
-        extents: Vec::new(),
-    }
-}
-
-fn text_scope(image: &FirmwareImage) -> [(u32, u32); 1] {
-    [(FLASH_BASE, FLASH_BASE + image.text.len() as u32)]
-}
-
-fn fault(site: u32, kind: InjectKind) -> FaultInstance {
-    FaultInstance { site, kind, persistence: Persistence::Transient }
-}
 
 /// A spinning baseline (`b .`) is matched only by a trial that still
 /// runs at a scoped PC when its budget ends.
@@ -66,14 +43,16 @@ fn zero_halfwords_inside_the_text_stay_visible_to_the_walk() {
         assert_eq!(runner.first_fetch(FLASH_BASE + 6 + 2 * i as u32), Some(step));
     }
 
-    // A no-op first fault (lsls r0, r0, #8 for itself), then a partner
-    // at the third zero that clobbers r0.
-    let first = fault(FLASH_BASE + 2, InjectKind::Corrupt { hw: 0x0200 });
+    // A first fault that leaves r0 alone but sets r1 (movs r1, #1 for
+    // the first zero), so its trial never rejoins the unfaulted one,
+    // then a partner at the third zero that clobbers r0.
+    let first = fault(FLASH_BASE + 6, InjectKind::Corrupt { hw: 0x2101 });
     let partner = fault(FLASH_BASE + 10, InjectKind::Corrupt { hw: 0x2001 });
     assert_eq!(runner.run(&[first]), Outcome::NoEffect);
     let mut outcomes = Vec::new();
-    let steps = runner.run_pairs(first, &[partner], &mut outcomes);
+    let o1 = runner.run(&[partner]);
+    let (steps, by) = runner.run_pairs(first, &[(partner, o1)], &mut outcomes);
     assert_eq!(outcomes, [Outcome::Failed]);
     assert_eq!(outcomes[0], runner.run(&[first, partner]));
-    assert_eq!((steps.shared, steps.executed, steps.slid), (5, 3, 0));
+    assert_eq!((steps.shared, steps.executed, steps.slid, by.trial), (5, 3, 0, 1));
 }

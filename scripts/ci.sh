@@ -16,6 +16,14 @@ RUSTFLAGS=-Dwarnings cargo build --release --offline
 echo "==> cargo test --offline (workspace)"
 cargo test --offline -q
 
+# The order-2 fork walk against its oracle over the whole pair space:
+# every bucket of the first-fault class partition must tally exactly as
+# the from-snapshot reference executor. Tier-1 checks a strided sample of
+# representatives, whose classes differ from the full space's. Release
+# only: a few seconds.
+echo "==> order-2 fork walk = reference over the full pair space"
+cargo test --release --offline -q -p gd-faultsim --test fork_walk -- --ignored
+
 # Experiment binaries must regenerate their committed golden outputs
 # byte for byte. table1 goes through the campaign engine (and therefore
 # the sharded path); fig2 covers the emulation-side sweeps.
