@@ -29,7 +29,8 @@ use gd_chipwhisperer::{scan_cell, scan_grid_serial, targets, Device, FaultModel}
 use gd_emu::Config;
 use gd_glitch_emu::masks::ChooseBits;
 use gd_glitch_emu::{
-    all_branch_cases, run_perturbed, sweep_k_serial, Direction, PerturbRunner, Tally,
+    all_branch_cases, run_perturbed, sweep_case_with, sweep_k_serial, Direction, PerturbRunner,
+    Tally,
 };
 
 /// Repo-root path of one trajectory file.
@@ -52,7 +53,10 @@ fn print_measurement(m: &Measurement) {
 
 /// Figure 2 hot path: one perturbed trial of the first branch case, the
 /// exhaustive AND-panel sweep — all 14 cases × 2^16 masks — and the
-/// OR-panel sweep of the first case, each interpreter vs predecoded.
+/// OR-panel sweep of the first case, each interpreter vs predecoded; and
+/// the AND panel through `sweep_case_with`, which runs each distinct
+/// perturbed halfword once (`sweep/memo` vs `sweep/predecoded`, one
+/// trial per mask).
 ///
 /// The AND panel has no step-limit trials; many OR-panel trials run off
 /// the snippet into zero-filled flash until the budget ends, so its pair
@@ -97,6 +101,12 @@ fn bench_fig2(h: &Harness) -> Json {
         }
         tally
     }));
+    stages.push(h.measure("sweep/memo", || {
+        gd_exec::with_threads(1, || {
+            let sweep = |case| sweep_case_with(case, &case.predecode(cfg), direction, cfg);
+            cases.iter().map(sweep).collect::<Vec<_>>()
+        })
+    }));
     stages.push(h.measure("sweep_or/interpreter", || {
         let mut tally = Tally::default();
         for k in 0..=16 {
@@ -139,6 +149,12 @@ fn bench_fig2(h: &Harness) -> Json {
                 baseline: "sweep_or/interpreter",
                 fast: "sweep_or/predecoded",
                 min_milli: Some(6000),
+            },
+            Speedup {
+                name: "memo",
+                baseline: "sweep/predecoded",
+                fast: "sweep/memo",
+                min_milli: Some(12000),
             },
         ],
     )

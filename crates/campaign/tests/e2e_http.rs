@@ -176,6 +176,7 @@ fn table1_served_over_http_matches_the_committed_results() {
         r#"gd_faultsim_pairs_total{by="rejoin"}"#,
         r#"gd_faultsim_pairs_total{by="merge"}"#,
         r#"gd_faultsim_pairs_total{by="first"}"#,
+        r#"gd_faultsim_pairs_total{by="second"}"#,
     ] {
         assert!(metrics.contains(series), "missing {series:?} in:\n{metrics}");
     }

@@ -376,6 +376,7 @@ fn record_order2(run: O2Bucket) -> (Tally, MfStats) {
     metrics::pairs("rejoin").add(run.pairs.rejoin);
     metrics::pairs("merge").add(run.pairs.merge);
     metrics::pairs("first").add(run.pairs.first);
+    metrics::pairs("second").add(run.pairs.second);
     (run.tally, run.stats)
 }
 

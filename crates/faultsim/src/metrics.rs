@@ -56,8 +56,9 @@ pub fn pair_steps(kind: &str) -> Arc<Counter> {
 
 /// Both-live second-order pairs decided `by` a pair trial (`"trial"`), or
 /// settled by state equality: shared with their first fault's class
-/// (`"class"`), rejoining the unfaulted trial (`"rejoin"`), or taking the
-/// first fault's own outcome (`"merge"`, `"first"`) — see
+/// (`"class"`), rejoining the unfaulted trial (`"rejoin"`), taking the
+/// first fault's own outcome (`"merge"`, `"first"`), or taking another
+/// partner's outcome at the same fork (`"second"`) — see
 /// [`PairsBy`](crate::PairsBy).
 pub fn pairs(by: &str) -> Arc<Counter> {
     gd_obs::counter(
@@ -68,7 +69,7 @@ pub fn pairs(by: &str) -> Arc<Counter> {
 }
 
 /// The `by` labels of [`pairs`].
-const PAIRS_BY: [&str; 5] = ["trial", "class", "rejoin", "merge", "first"];
+const PAIRS_BY: [&str; 6] = ["trial", "class", "rejoin", "merge", "first", "second"];
 
 /// Weighted trial outcomes for `model` and `outcome`.
 pub fn outcomes(model: &str, outcome: Outcome) -> Arc<Counter> {

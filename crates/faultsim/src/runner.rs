@@ -5,7 +5,8 @@
 
 use gd_backend::FirmwareImage;
 use gd_emu::{
-    Config, Emu, Fault, Fork, PredecodedImage, Snapshot, StepOutcome, StopReason, ZERO_FILL,
+    Config, Cpu, Emu, Fault, Fork, Injection, LoadOverride, PredecodedImage, Snapshot, StepOutcome,
+    StopReason, ZERO_FILL,
 };
 use gd_firmware::BOOT_MARKER;
 use gd_glitch_emu::Outcome;
@@ -183,8 +184,10 @@ impl Booted {
 /// Step ledger of the second-order pair trials that ran: each ran from a
 /// fork off its first fault's trial, sharing that trial's steps up to
 /// the fork, and ran its own steps either dispatched or slid through
-/// zero-filled flash. Pairs settled without a trial of their own
-/// ([`PairsBy`]) add nothing.
+/// zero-filled flash. A pair settled at its fork after its faulted step
+/// ([`PairsBy::merge`], [`PairsBy::second`]) adds that one dispatched
+/// step (and any zero fill it slid into) and shares nothing; other
+/// settled pairs add nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairSteps {
     /// Steps a pair trial shares with its first fault's trial, up to the
@@ -230,12 +233,16 @@ pub struct PairsBy {
     /// Took the first fault's own outcome: its trial never fetches the
     /// partner's site.
     pub first: u64,
+    /// Took the outcome of another partner at the same fork: both faulted
+    /// steps stored nothing, left no injection armed and reached equal
+    /// states.
+    pub second: u64,
 }
 
 impl PairsBy {
     /// Every pair counted.
     pub fn total(&self) -> u64 {
-        self.trial + self.class + self.rejoin + self.merge + self.first
+        self.trial + self.class + self.rejoin + self.merge + self.first + self.second
     }
 
     /// Adds `other` into these counts.
@@ -245,7 +252,22 @@ impl PairsBy {
         self.rejoin += other.rejoin;
         self.merge += other.merge;
         self.first += other.first;
+        self.second += other.second;
     }
+}
+
+/// A pair trial's state just after its second fault's step, when that
+/// step stored nothing and no injection is left armed. Memory is then
+/// the fork's, so two partners at one fork with equal states run on
+/// identically: fields are compared in order, the cheap ones first.
+#[derive(Debug, PartialEq, Eq)]
+struct StoreFree {
+    pc: u32,
+    /// Steps left in the budget.
+    left: u64,
+    compromised: bool,
+    load_override: Option<LoadOverride>,
+    cpu: Cpu,
 }
 
 /// Where a fault's trial stands just after the fault first fires — what
@@ -298,6 +320,12 @@ pub struct MultiFaultRunner {
     by_site: Vec<usize>,
     /// Fork-walk scratch: partners that take the first fault's outcome.
     merged: Vec<usize>,
+    /// Fork-walk scratch: the store-free states pair trials at the
+    /// current fork ran from, with their partner indices.
+    seconds: Vec<(StoreFree, usize)>,
+    /// `(partner, representative)` indices of the partners the last
+    /// [`MultiFaultRunner::run_pairs`] settled by [`PairsBy::second`].
+    settled: Vec<(usize, usize)>,
 }
 
 impl MultiFaultRunner {
@@ -335,6 +363,8 @@ impl MultiFaultRunner {
             pending,
             by_site: Vec::new(),
             merged: Vec::new(),
+            seconds: Vec::new(),
+            settled: Vec::new(),
         }
     }
 
@@ -350,6 +380,13 @@ impl MultiFaultRunner {
     pub fn first_fetch(&self, site: u32) -> Option<u32> {
         let i = self.booted.slot_index(site)?;
         Some(self.first_fetch[i]).filter(|&s| s != u32::MAX)
+    }
+
+    /// `(partner, representative)` indices into the partners of the last
+    /// [`MultiFaultRunner::run_pairs`] call: each partner it settled by
+    /// [`PairsBy::second`], with the partner whose pair trial it shares.
+    pub fn settled_by_second(&self) -> &[(usize, usize)] {
+        &self.settled
     }
 
     /// Runs one trial with `faults` armed and classifies it.
@@ -442,13 +479,20 @@ impl MultiFaultRunner {
     /// pending partner site it forks, steps `first`'s trial once and
     /// forks again; each partner there runs from the first fork to the
     /// end (carrying the budget left and the compromise flag), and the
-    /// walk resumes from the second fork, so no step runs twice. Three
+    /// walk resumes from the second fork, so no step runs twice. Four
     /// state equalities settle partners without a trial of their own:
     ///
     /// - *merge*: a partner whose faulted step, its injection spent,
     ///   reaches the second fork's state ([`Emu::same_state`], equal
     ///   compromise flag) has `first`'s trial from there on, and takes
     ///   `first`'s own outcome.
+    /// - *second*: a partner whose faulted step stored nothing (the write
+    ///   epoch did not move) and left no injection armed has the first
+    ///   fork's memory, so its state is its PC, budget left, CPU, load
+    ///   override and compromise flag. If an earlier partner at the same
+    ///   fork ran from an equal such state, the two trials are the same
+    ///   from there (they invalidate the same slots too), and the partner
+    ///   takes that outcome.
     /// - *rejoin*: once `first` has fired, its trial may reach the
     ///   unfaulted trial's state at the same step, uncompromised. From
     ///   there it *is* the unfaulted trial, and so is each partner's own
@@ -475,6 +519,8 @@ impl MultiFaultRunner {
         by_site.sort_unstable_by_key(|&i| partners[i].0.site);
         let mut merged = std::mem::take(&mut self.merged);
         merged.clear();
+        let mut seconds = std::mem::take(&mut self.seconds);
+        self.settled.clear();
         let mut left = 0; // partner sites still awaiting their first fetch
         for (p, _) in partners {
             assert_ne!(p.site, first.site, "a pair needs two sites");
@@ -543,11 +589,13 @@ impl MultiFaultRunner {
                 Some(self.booted.emu.fork())
             };
             let lo = by_site.partition_point(|&i| partners[i].0.site < pc);
+            seconds.clear();
             for &i in by_site[lo..].iter().take_while(|&&i| partners[i].0.site == pc) {
                 self.booted.emu.resume(&self.booted.snap, &fork);
                 let second = partners[i].0;
                 self.booted.emu.inject(second.injection());
                 self.booted.image.invalidate_range(second.site, 2);
+                let epoch = self.booted.emu.mem.write_epoch();
                 let mut pair = at;
                 self.booted.step(&mut pair, watch);
                 let noop = !pair.ended()
@@ -555,19 +603,37 @@ impl MultiFaultRunner {
                     && next
                         .as_ref()
                         .is_some_and(|n| self.booted.emu.same_state(&self.booted.snap, n));
+                let emu = &self.booted.emu;
+                let state = (!noop
+                    && !pair.ended()
+                    && emu.mem.write_epoch() == epoch
+                    && !emu.injections().iter().any(Injection::is_armed))
+                .then(|| StoreFree {
+                    pc: emu.pc(),
+                    left: pair.left,
+                    compromised: pair.compromised,
+                    load_override: emu.load_override,
+                    cpu: emu.cpu.clone(),
+                });
+                let seen = state.as_ref().and_then(|s| seconds.iter().find(|(t, _)| t == s));
                 if noop {
                     merged.push(i);
                     by.merge += 1;
+                } else if let Some(&(_, q)) = seen {
+                    outcomes[i] = outcomes[q];
+                    self.settled.push((i, q));
+                    by.second += 1;
                 } else {
                     self.booted.run(&mut pair, watch, |_, _| false);
                     outcomes[i] = classify(&self.booted.emu, &pair);
                     by.trial += 1;
+                    steps.shared += budget - at.left;
+                    seconds.extend(state.map(|s| (s, i)));
                 }
                 // Adjacent sites share a slot: healing the second fault's
                 // range must not revalidate the first's.
                 self.booted.heal(&[second]);
                 self.booted.image.invalidate_range(first.site, 2);
-                steps.shared += budget - at.left;
                 steps.merge(&PairSteps::run_since(&at, &pair));
             }
             match &next {
@@ -593,6 +659,7 @@ impl MultiFaultRunner {
         }
         self.by_site = by_site;
         self.merged = merged;
+        self.seconds = seconds;
         (steps, by)
     }
 }

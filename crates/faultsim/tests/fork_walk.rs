@@ -307,12 +307,124 @@ fn a_compromise_flag_keeps_equal_states_apart() {
     assert_eq!((outcomes[0], by.rejoin), (Outcome::Success, 0));
 }
 
+/// Partners settled by the store-free second-fault rule share their
+/// representative's pair trial: for sampled first faults, every settled
+/// partner `p` has `run(&[first, p]) == run(&[first, q])` for the
+/// partner `q` whose trial it took, and the walk settles some.
+#[test]
+fn second_fault_classes_share_their_representatives_trial() {
+    let reps = live_reps();
+    let mut runner = boot_campaign().runner();
+    let mut outcomes = Vec::new();
+    let mut settled = 0;
+    cases(6, "second-fault class ≡ representative", |rng| {
+        let first = reps[rng.usize(0, reps.len())];
+        let others: Vec<_> = reps.iter().copied().filter(|p| p.site != first.site).collect();
+        let partners = with_o1(&mut runner, &others);
+        let (_, by) = runner.run_pairs(first, &partners, &mut outcomes);
+        let classed = runner.settled_by_second().to_vec();
+        assert_eq!(classed.len() as u64, by.second, "{by:?}");
+        for (p, q) in classed {
+            let (p, q) = (partners[p].0, partners[q].0);
+            assert_eq!(p.site, q.site, "a class lies at one fork");
+            assert_eq!(
+                runner.run(&[first, p]),
+                runner.run(&[first, q]),
+                "{first:?}: {p:?} ~ {q:?}"
+            );
+        }
+        settled += by.second;
+    });
+    assert!(settled > 0, "some sampled walk settles a partner by its second fault");
+}
+
+/// Two store-free faulted steps that reach one state share a trial:
+/// `movs r4, #2` and `lsls r4, r1, #0` (with `r1 = 2`) both leave
+/// `r4 = 2` with N and Z clear, and store nothing. The first fault
+/// (`movs r3, #1` for a `nop`) keeps its trial off the unfaulted one.
+#[test]
+fn equal_store_free_second_steps_share_one_trial() {
+    let src = "movs r1, #2\nmovs r4, #1\nnop\nnop\n\
+               movs r0, #0xb0\nlsls r0, r0, #8\nadds r0, #6\nadds r0, r0, r4\nbkpt #0\n";
+    let image = image(src);
+    let mut runner = MultiFaultRunner::new(&image, Config::default(), &text_scope(&image));
+    assert_eq!(runner.run(&[]), Outcome::NoEffect);
+    let first = fault(FLASH_BASE + 4, InjectKind::Corrupt { hw: 0x2301 }); // movs r3, #1
+    let movs = fault(FLASH_BASE + 6, InjectKind::Corrupt { hw: 0x2402 }); // movs r4, #2
+    let lsls = fault(FLASH_BASE + 6, InjectKind::Corrupt { hw: 0x000C }); // lsls r4, r1, #0
+    let partners = with_o1(&mut runner, &[movs, lsls]);
+    let mut outcomes = Vec::new();
+    let (_, by) = runner.run_pairs(first, &partners, &mut outcomes);
+    assert_eq!(by, PairsBy { trial: 1, second: 1, ..PairsBy::default() });
+    assert_eq!(outcomes, [Outcome::Failed, Outcome::Failed], "the marker is off by one");
+    for (&(p, _), &walked) in partners.iter().zip(&outcomes) {
+        assert_eq!(walked, runner.run(&[first, p]), "{p:?}");
+    }
+}
+
+/// A faulted step that stores is never classed, even when its registers
+/// and PC equal another partner's: `str r1, [r0]` and `str r1, [r0, #4]`
+/// leave the same registers but different memory, which the code after
+/// them reads.
+#[test]
+fn a_storing_second_step_is_never_classed() {
+    let src = "movs r0, #0x20\nlsls r0, r0, #24\nadds r0, #0x40\nmovs r1, #1\n\
+               nop\nnop\n\
+               ldr r2, [r0]\ncmp r2, #1\nbeq bad\n\
+               movs r0, #0xb0\nlsls r0, r0, #8\nadds r0, #7\nbkpt #0\n\
+               bad:\nbkpt #0\n";
+    let image = image(src);
+    let mut runner = MultiFaultRunner::new(&image, Config::default(), &text_scope(&image));
+    let first = fault(FLASH_BASE + 8, InjectKind::Corrupt { hw: 0x2301 }); // movs r3, #1
+    let hit = fault(FLASH_BASE + 10, InjectKind::Corrupt { hw: 0x6001 }); // str r1, [r0]
+    let miss = fault(FLASH_BASE + 10, InjectKind::Corrupt { hw: 0x6041 }); // str r1, [r0, #4]
+    let partners = with_o1(&mut runner, &[hit, miss]);
+    let mut outcomes = Vec::new();
+    let (_, by) = runner.run_pairs(first, &partners, &mut outcomes);
+    assert_eq!(by, PairsBy { trial: 2, ..PairsBy::default() });
+    assert_eq!(outcomes, [Outcome::Failed, Outcome::NoEffect]);
+    for (&(p, _), &walked) in partners.iter().zip(&outcomes) {
+        assert_eq!(walked, runner.run(&[first, p]), "{p:?}");
+    }
+}
+
+/// Equal second-fault states with different compromise flags stay
+/// apart. `uart_out` already holds the compromise value (stored out of
+/// scope), so `str r1, [r0]` for `movs r2, #1` leaves memory and
+/// registers as `nop` does, but compromises the boot. Only a store sets
+/// the flag, so the write epoch and the flag in the signature each keep
+/// the two apart.
+#[test]
+fn second_fault_states_with_different_compromise_flags_stay_apart() {
+    let src = "movs r0, #0x20\nlsls r0, r0, #24\n\
+               movs r1, #0xc0\nlsls r1, r1, #8\nadds r1, #0xde\nstr r1, [r0]\n\
+               scope:\nnop\nmovs r2, #1\n\
+               movs r0, #0xb0\nlsls r0, r0, #8\nadds r0, #7\nbkpt #0\n";
+    let image = image(src);
+    let (s1, s2) = (FLASH_BASE + 12, FLASH_BASE + 14);
+    let scope = [(s1, FLASH_BASE + image.text.len() as u32)];
+    let mut runner = MultiFaultRunner::new(&image, Config::default(), &scope);
+    assert_eq!(runner.run(&[]), Outcome::NoEffect);
+    let first = fault(s1, InjectKind::Corrupt { hw: 0x2301 }); // movs r3, #1
+    let store = fault(s2, InjectKind::Corrupt { hw: 0x6001 }); // str r1, [r0]
+    let nop = fault(s2, InjectKind::Corrupt { hw: 0xBF00 });
+    let partners = with_o1(&mut runner, &[store, nop]);
+    let mut outcomes = Vec::new();
+    let (_, by) = runner.run_pairs(first, &partners, &mut outcomes);
+    assert_eq!(by, PairsBy { trial: 2, ..PairsBy::default() });
+    assert_eq!(outcomes, [Outcome::Success, Outcome::NoEffect]);
+    for (&(p, _), &walked) in partners.iter().zip(&outcomes) {
+        assert_eq!(walked, runner.run(&[first, p]), "{p:?}");
+    }
+}
+
 /// Every bucket of the second-order campaign over a strided sample of
 /// representatives (both models, every scoped routine; first-fault
 /// classes formed over the sample): the walk and the reference agree on
 /// tallies and ledgers, every both-live pair is accounted for once —
-/// by a pair trial, its class, a rejoin, a merge or the first fault's
-/// outcome — and the walk dispatches fewer steps.
+/// by a pair trial, its class, a rejoin, a merge, the first fault's
+/// outcome or another partner's at its fork — and the walk dispatches
+/// fewer steps.
 #[test]
 fn every_bucket_walk_equals_reference() {
     every_bucket_walk_equals_reference_over(5);
@@ -327,6 +439,7 @@ fn every_bucket_walk_equals_reference_full_space() {
 }
 
 fn every_bucket_walk_equals_reference_over(stride: usize) {
+    let mut seconds = 0;
     for bucket in 0..O2_BUCKETS {
         let walk = order2_bucket(bucket, stride, O2Executor::Fork);
         let reference = order2_bucket(bucket, stride, O2Executor::Reference);
@@ -337,5 +450,7 @@ fn every_bucket_walk_equals_reference_over(stride: usize) {
         assert_eq!(reference.steps.shared, 0);
         assert!(walk.steps.executed < reference.steps.executed, "bucket {bucket}");
         assert!(reference.steps.slid > 0, "bucket {bucket} slides");
+        seconds += walk.pairs.second;
     }
+    assert!(seconds > 0, "some pair is settled by its second fault's state");
 }

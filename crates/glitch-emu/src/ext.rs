@@ -14,8 +14,7 @@ use gd_emu::{Config, Emu, Perms, RunOutcome, StopReason};
 use gd_thumb::asm::assemble;
 use gd_thumb::Reg;
 
-use crate::masks::ChooseBits;
-use crate::sweep::{Direction, Outcome, Tally};
+use crate::sweep::{Direction, HalfwordOutcomes, Outcome, Tally};
 
 /// A skip-oriented test case: corrupting `target:` counts as a *skip* when
 /// execution completes but the instruction's architectural effect is
@@ -167,25 +166,17 @@ impl SkipCase {
         u16::from_le_bytes([self.program.code[off], self.program.code[off + 1]])
     }
 
-    /// Sweeps every C(16, k) mask for `k = 1..=16`, fanned out across
-    /// [`gd_exec`] workers (the full 2¹⁶ − 1 perturbed executions per
-    /// case make this the hot loop of the `fig2_ext` driver).
+    /// Sweeps every C(16, k) mask for `k = 1..=16`, running each
+    /// distinct perturbed halfword once ([`HalfwordOutcomes`]), fanned
+    /// out across [`gd_exec`] workers — the hot loop of the `fig2_ext`
+    /// driver.
     pub fn sweep(&self, direction: Direction, cfg: Config) -> Tally {
-        let hw = self.target_halfword();
-        let masks: Vec<u32> = (1..=16u32).flat_map(|k| ChooseBits::new(16, k)).collect();
-        let partials = gd_exec::par_map_chunks(&masks, 256, |chunk| {
-            let mut tally = Tally::default();
-            for &mask in chunk.items {
-                let perturbed = direction.apply(hw, mask as u16);
-                tally.record(self.run(perturbed, cfg));
-            }
-            tally
-        });
-        let mut tally = Tally::default();
-        for partial in &partials {
-            tally.merge(partial);
-        }
-        tally
+        let masks = 1..1u32 << 16;
+        let outcomes =
+            HalfwordOutcomes::run(self.target_halfword(), direction, masks.clone(), || {
+                |hw| self.run(hw, cfg)
+            });
+        outcomes.tally(masks)
     }
 }
 

@@ -289,19 +289,112 @@ impl PerturbRunner {
     }
 }
 
-/// Masks per worker chunk in [`sweep_k`]. Each perturbed execution costs
-/// a few microseconds, so chunks of this size amortize dispatch while
-/// still splitting C(16, 8) = 12,870 masks into dozens of work units.
-const MASK_CHUNK: usize = 256;
+/// Perturbed halfwords per worker chunk. A predecoded trial costs about
+/// 80 ns (`BENCH_fig2.json`, `trial/predecoded`), so a chunk of this size
+/// still amortizes its runner setup and dispatch, while a panel's
+/// largest distinct set (2^16 halfwords, XOR) splits into 256 work units.
+const HALFWORD_CHUNK: usize = 256;
+
+/// The outcome of every perturbed halfword a sweep needs, indexed by
+/// halfword.
+///
+/// Within one (case, direction, [`Config`]) a trial's outcome is a
+/// function of the perturbed halfword alone: each trial starts from the
+/// same state with only that halfword poked over the target. So a sweep
+/// runs each *distinct* halfword `direction.apply(hw, m)` once, and every
+/// mask `m` that maps to it looks its outcome up. AND and OR masks map
+/// 2^16 masks onto `2^(ones)` and `2^(zeros)` halfwords of the target.
+#[derive(Debug, Clone)]
+pub struct HalfwordOutcomes {
+    hw: u16,
+    direction: Direction,
+    by_halfword: Vec<Option<Outcome>>,
+}
+
+impl HalfwordOutcomes {
+    /// Runs `trial` once per distinct perturbed halfword of `masks`,
+    /// fanned out over [`gd_exec`] workers: each worker chunk calls
+    /// `new_trial` once and runs its halfwords through the trial it
+    /// returns, which must depend on nothing but the halfword it is given.
+    pub fn run<T>(
+        hw: u16,
+        direction: Direction,
+        masks: impl IntoIterator<Item = u32>,
+        new_trial: impl Fn() -> T + Sync,
+    ) -> HalfwordOutcomes
+    where
+        T: FnMut(u16) -> Outcome,
+    {
+        let mut distinct = Vec::new();
+        let mut seen = vec![0u64; (1 << 16) / 64];
+        for mask in masks {
+            let perturbed = direction.apply(hw, mask as u16);
+            let (word, bit) = (usize::from(perturbed / 64), 1u64 << (perturbed % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                distinct.push(perturbed);
+            }
+        }
+        let partials = gd_exec::par_map_chunks(&distinct, HALFWORD_CHUNK, |chunk| {
+            let mut trial = new_trial();
+            chunk.items.iter().map(|&perturbed| trial(perturbed)).collect::<Vec<_>>()
+        });
+        let mut by_halfword = vec![None; 1 << 16];
+        for (&perturbed, &outcome) in distinct.iter().zip(partials.iter().flatten()) {
+            by_halfword[usize::from(perturbed)] = Some(outcome);
+        }
+        HalfwordOutcomes { hw, direction, by_halfword }
+    }
+
+    /// Tallies the outcomes of `masks`, one trial per mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask perturbs the target into a halfword that
+    /// [`HalfwordOutcomes::run`] was not given a mask for.
+    pub fn tally(&self, masks: impl IntoIterator<Item = u32>) -> Tally {
+        let mut tally = Tally::default();
+        for mask in masks {
+            tally.record(self.outcome(mask));
+        }
+        tally
+    }
+
+    /// The outcome of the trial perturbed by `mask`.
+    ///
+    /// # Panics
+    ///
+    /// As [`HalfwordOutcomes::tally`].
+    pub fn outcome(&self, mask: u32) -> Outcome {
+        let perturbed = self.direction.apply(self.hw, mask as u16);
+        self.by_halfword[usize::from(perturbed)].expect("halfword ran")
+    }
+}
+
+/// Runs every distinct perturbed halfword of `masks` for `case` through
+/// a [`PerturbRunner`] per worker chunk.
+fn case_outcomes(
+    case: &TestCase,
+    image: &PredecodedImage,
+    direction: Direction,
+    masks: impl IntoIterator<Item = u32>,
+    cfg: Config,
+) -> HalfwordOutcomes {
+    HalfwordOutcomes::run(case.target_halfword(), direction, masks, || {
+        let mut runner = PerturbRunner::with_image(case, cfg, image.clone());
+        move |hw| runner.run(hw)
+    })
+}
 
 /// Sweeps every C(16, k) mask in `direction` over the targeted
-/// instruction, fanning the mask space out across [`gd_exec`] workers.
+/// instruction, running each distinct perturbed halfword once
+/// ([`HalfwordOutcomes`]) and fanning those trials out across
+/// [`gd_exec`] workers.
 ///
 /// Each worker chunk replays a snapshot through one [`PerturbRunner`]
-/// (predecoded dispatch, no per-trial boot), so trials are independent;
-/// per-chunk [`Tally`]s are merged in mask order, and since tally merging
-/// is associative the result is identical to the serial interpreter
-/// sweep bit for bit (see `parallel_sweep_matches_serial` below).
+/// (predecoded dispatch, no per-trial boot), so trials are independent,
+/// and the tally is identical to the serial interpreter sweep bit for
+/// bit at any worker count (see `parallel_sweep_matches_serial` below).
 pub fn sweep_k(case: &TestCase, direction: Direction, k: u32, cfg: Config) -> Tally {
     sweep_k_with(case, &case.predecode(cfg), direction, k, cfg)
 }
@@ -316,22 +409,8 @@ pub fn sweep_k_with(
     k: u32,
     cfg: Config,
 ) -> Tally {
-    let hw = case.target_halfword();
-    let masks: Vec<u32> = ChooseBits::new(16, k).collect();
-    let partials = gd_exec::par_map_chunks(&masks, MASK_CHUNK, |chunk| {
-        let mut runner = PerturbRunner::with_image(case, cfg, image.clone());
-        let mut tally = Tally::default();
-        for &mask in chunk.items {
-            let perturbed = direction.apply(hw, mask as u16);
-            tally.record(runner.run(perturbed));
-        }
-        tally
-    });
-    let mut tally = Tally::default();
-    for partial in &partials {
-        tally.merge(partial);
-    }
-    tally
+    let masks = ChooseBits::new(16, k);
+    case_outcomes(case, image, direction, masks.clone(), cfg).tally(masks)
 }
 
 /// The serial reference implementation of [`sweep_k`] — a fresh
@@ -374,7 +453,8 @@ impl SweepResult {
 }
 
 /// Full sweep over `k = 0..=16` for one case, predecoding the snippet
-/// once and sharing the image across every k.
+/// once and running each distinct perturbed halfword of the whole 2^16
+/// mask space once ([`HalfwordOutcomes`]) for every k.
 pub fn sweep_case(case: &TestCase, direction: Direction, cfg: Config) -> SweepResult {
     sweep_case_with(case, &case.predecode(cfg), direction, cfg)
 }
@@ -386,7 +466,12 @@ pub fn sweep_case_with(
     direction: Direction,
     cfg: Config,
 ) -> SweepResult {
-    let per_k = (0..=16).map(|k| sweep_k_with(case, image, direction, k, cfg)).collect();
+    let masks = 0..1u32 << 16;
+    let outcomes = case_outcomes(case, image, direction, masks.clone(), cfg);
+    let mut per_k = vec![Tally::default(); 17];
+    for mask in masks {
+        per_k[mask.count_ones() as usize].record(outcomes.outcome(mask));
+    }
     SweepResult { name: case.name.clone(), per_k }
 }
 

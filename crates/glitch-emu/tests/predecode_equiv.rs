@@ -5,7 +5,10 @@
 
 use gd_emu::Config;
 use gd_glitch_emu::masks::ChooseBits;
-use gd_glitch_emu::{all_branch_cases, run_perturbed, Direction, PerturbRunner};
+use gd_glitch_emu::{
+    all_branch_cases, run_perturbed, sweep_case_with, sweep_k_serial, Direction, PerturbRunner,
+    Tally, TestCase,
+};
 
 /// The (direction, config) pairs of the four Figure 2 panels.
 fn panels() -> [(Direction, Config); 4] {
@@ -45,6 +48,29 @@ fn fast_path_matches_interpreter_across_figure2() {
             }
             check(0xFFFF);
             check(0x0000);
+        }
+    }
+}
+
+/// The halfword memo is exact: a full-case sweep, which runs each
+/// distinct perturbed halfword once and looks every mask up, tallies
+/// every k as the serial interpreter sweep of that k does, on all four
+/// panels. The case with the most one-bits in its branch has the largest
+/// AND set of distinct halfwords; the one with the fewest, the largest
+/// OR set.
+#[test]
+fn memoized_case_sweep_matches_serial_per_k() {
+    let cases = all_branch_cases();
+    let ones = |c: &&TestCase| c.target_halfword().count_ones();
+    let most = cases.iter().max_by_key(ones).expect("cases");
+    let fewest = cases.iter().min_by_key(ones).expect("cases");
+    assert_ne!(most.name, fewest.name);
+    for case in [most, fewest] {
+        for (direction, cfg) in panels() {
+            let swept = sweep_case_with(case, &case.predecode(cfg), direction, cfg);
+            let serial: Vec<Tally> =
+                (0..=16).map(|k| sweep_k_serial(case, direction, k, cfg)).collect();
+            assert_eq!(swept.per_k, serial, "{} {direction:?} {cfg:?}", case.name);
         }
     }
 }

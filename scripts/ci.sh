@@ -33,6 +33,15 @@ echo "==> table1 --check"
 echo "==> fig2 --check"
 ./target/release/fig2 --check
 
+# Figure 2 and its instruction-class extension run each distinct
+# perturbed halfword once and fan those trials out over workers: both
+# must match their goldens at every worker count.
+echo "==> fig2 + fig2_ext --check across GD_THREADS=1/2/8"
+for t in 1 2 8; do
+    GD_THREADS=$t ./target/release/fig2 --check
+    GD_THREADS=$t ./target/release/fig2_ext --check
+done
+
 # Static glitch-surface analysis: the report over all Table IV defense
 # configurations must match the committed golden byte for byte, stay
 # byte-identical across worker counts, and the fully hardened boot image
