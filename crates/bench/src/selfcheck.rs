@@ -2,8 +2,9 @@
 //! binary, capture its stdout, and diff it against the committed golden
 //! file under `results/`. A clean diff exits 0; drift (or a failed
 //! regeneration) exits non-zero with the first mismatching line named,
-//! which makes every binary its own regression gate — `scripts/ci.sh`
-//! wires `table1 --check` and `fig2 --check` into the tier-1 run.
+//! which makes every binary its own regression gate. The golden
+//! manifest (`tests/goldens.rs`) runs every binary at several worker
+//! counts and reports drift through [`diff`].
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};

@@ -2,11 +2,9 @@
 //! engine over HTTP.
 //!
 //! ```text
-//! gd-campaign run <spec.json|workload> [--store DIR] [--workers A,B,...]
+//! gd-campaign run <spec.json|workload> [--store DIR]
 //! gd-campaign key <spec.json|workload>
 //! gd-campaign serve [--addr HOST:PORT] [--store DIR] [--queue N]
-//!                   [--quota N] [--workers A,B,...]
-//! gd-campaign worker [--addr HOST:PORT]
 //! gd-campaign chaos <spec.json|workload> --schedule SEED:SITE=RATE,...
 //!                   [--runs N] [--attempts N] [--golden FILE] [--store DIR]
 //! ```
@@ -23,38 +21,19 @@
 //! is computed under chaos suppression, or taken from `--golden`.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use gd_campaign::fleet::{FleetConfig, FleetDispatcher, WorkerServer};
 use gd_campaign::service::{Server, ServerConfig};
 use gd_campaign::{CampaignSpec, Engine};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: gd-campaign run <spec.json|workload> [--store DIR] [--workers A,B,...]\n\
+        "usage: gd-campaign run <spec.json|workload> [--store DIR]\n\
          \x20      gd-campaign key <spec.json|workload>\n\
          \x20      gd-campaign serve [--addr HOST:PORT] [--store DIR] [--queue N]\n\
-         \x20                        [--quota N] [--workers A,B,...]\n\
-         \x20      gd-campaign worker [--addr HOST:PORT]\n\
          \x20      gd-campaign chaos <spec.json|workload> --schedule SEED:SITE=RATE,...\n\
          \x20                        [--runs N] [--attempts N] [--golden FILE] [--store DIR]"
     );
     ExitCode::from(2)
-}
-
-/// Parses `--workers a,b,c` into a trimmed, non-empty address list.
-fn take_workers(args: &mut Vec<String>) -> Result<Vec<String>, String> {
-    match take_option(args, "--workers")? {
-        None => Ok(Vec::new()),
-        Some(list) => {
-            let workers: Vec<String> =
-                list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(Into::into).collect();
-            if workers.is_empty() {
-                return Err(format!("--workers {list}: no usable addresses"));
-            }
-            Ok(workers)
-        }
-    }
 }
 
 fn load_spec(arg: &str) -> Result<CampaignSpec, String> {
@@ -102,17 +81,12 @@ fn run() -> Result<ExitCode, String> {
     let store = take_option(&mut args, "--store")?;
     match command.as_str() {
         "run" => {
-            let workers = take_workers(&mut args)?;
             let [spec_arg] = args.as_slice() else { return Ok(usage()) };
             let spec = load_spec(spec_arg)?;
-            let mut engine = match store {
+            let engine = match store {
                 Some(dir) => Engine::with_store(dir),
                 None => Engine::ephemeral(),
             };
-            if !workers.is_empty() {
-                let fleet = FleetDispatcher::new(FleetConfig { workers, ..FleetConfig::default() });
-                engine = engine.with_dispatcher(Arc::new(fleet));
-            }
             let result = engine.run(&spec)?;
             print!("{}", result.text);
             Ok(ExitCode::SUCCESS)
@@ -130,11 +104,6 @@ fn run() -> Result<ExitCode, String> {
                 None => 16,
                 Some(n) => n.parse().map_err(|_| format!("--queue {n}: not a number"))?,
             };
-            let client_quota = match take_option(&mut args, "--quota")? {
-                None => None,
-                Some(n) => Some(n.parse().map_err(|_| format!("--quota {n}: not a number"))?),
-            };
-            let workers = take_workers(&mut args)?;
             if !args.is_empty() {
                 return Ok(usage());
             }
@@ -142,8 +111,6 @@ fn run() -> Result<ExitCode, String> {
                 addr,
                 store: store.map(Into::into),
                 queue_limit,
-                client_quota,
-                workers,
                 ..ServerConfig::default()
             };
             let server = Server::start(config)?;
@@ -152,18 +119,6 @@ fn run() -> Result<ExitCode, String> {
             // The accept thread owns the lifecycle from here; park until
             // a shutdown request lands and the threads wind down.
             server.join()?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "worker" => {
-            let addr =
-                take_option(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7310".to_owned());
-            if !args.is_empty() {
-                return Ok(usage());
-            }
-            let worker = WorkerServer::start(&addr)?;
-            println!("gd-campaign: worker on http://{}", worker.addr());
-            println!("gd-campaign: POST /shards for leases, POST /shutdown to stop");
-            worker.join()?;
             Ok(ExitCode::SUCCESS)
         }
         "chaos" => {

@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 use gd_obs::Timer;
 
 pub use crate::error::CampaignError;
-use crate::fleet::{DispatchContext, ShardDispatcher};
 use crate::json::{parse, Json};
 use crate::shards::{run_shard, shard_plan, ShardResult, ShardWork};
 use crate::spec::CampaignSpec;
@@ -256,7 +255,6 @@ pub struct Engine {
     executed: AtomicU64,
     shard_attempts: u32,
     watchdog_deadline: Duration,
-    dispatcher: Arc<dyn ShardDispatcher>,
 }
 
 impl Engine {
@@ -268,7 +266,6 @@ impl Engine {
             executed: AtomicU64::new(0),
             shard_attempts: DEFAULT_SHARD_ATTEMPTS,
             watchdog_deadline: DEFAULT_WATCHDOG_DEADLINE,
-            dispatcher: Arc::new(LocalDispatcher),
         }
     }
 
@@ -293,18 +290,7 @@ impl Engine {
             executed: AtomicU64::new(0),
             shard_attempts: DEFAULT_SHARD_ATTEMPTS,
             watchdog_deadline: DEFAULT_WATCHDOG_DEADLINE,
-            dispatcher: Arc::new(LocalDispatcher),
         }
-    }
-
-    /// Replaces the shard dispatcher (default [`LocalDispatcher`]).
-    /// Dispatch is pure execution strategy: checkpointing, caching, and
-    /// merging stay in the engine, so output bytes are identical under
-    /// any dispatcher.
-    #[must_use]
-    pub fn with_dispatcher(mut self, dispatcher: Arc<dyn ShardDispatcher>) -> Engine {
-        self.dispatcher = dispatcher;
-        self
     }
 
     /// Sets the per-shard attempt budget (default
@@ -460,11 +446,13 @@ impl Engine {
         Ok(result)
     }
 
-    /// Runs `missing` shards through the configured [`ShardDispatcher`].
-    /// The engine owns everything that crosses the boundary: the
-    /// completion callback counts the execution, checkpoints the result,
-    /// and reports progress — identically whether the shard ran on a
-    /// local scoped thread or a remote worker.
+    /// Runs `missing` shards as a scoped-thread fan-out over [`gd_exec`]
+    /// with the full self-healing ladder: each shard attempt is
+    /// quarantined and retried with seeded-jitter backoff; a fan-out pass
+    /// aborted below the quarantine keeps its completed shards and
+    /// resubmits the rest; a watchdog thread flags attempts exceeding the
+    /// deadline. Each completed shard is counted, checkpointed, and
+    /// reported as progress the moment it finishes.
     fn execute(
         &self,
         spec: &CampaignSpec,
@@ -497,47 +485,6 @@ impl Engine {
             completed.lock().unwrap().push((index, result));
             progress(finished.fetch_add(1, Ordering::Relaxed) + 1, total);
         };
-        let ctx = DispatchContext {
-            spec,
-            missing: &missing,
-            complete: &complete,
-            attempts: self.shard_attempts,
-            watchdog_deadline: self.watchdog_deadline,
-        };
-        self.dispatcher.dispatch(&ctx)?;
-        Ok(completed.into_inner().unwrap())
-    }
-
-    /// Looks a finished campaign up by its content address. A missing,
-    /// torn, or corrupt cache file is a miss (the engine recomputes and
-    /// rewrites).
-    pub fn cache_lookup(&self, cache_key: &str) -> Option<CampaignResult> {
-        let dir = self.store.as_ref()?;
-        let path = dir.join("cache").join(format!("{cache_key}.json"));
-        let text = read_store_file(&path, "cached result")?;
-        match CampaignResult::from_json_text(&text) {
-            Ok(result) if result.cache_key == cache_key => Some(result),
-            _ => None,
-        }
-    }
-}
-
-/// The in-process [`ShardDispatcher`]: scoped-thread fan-out over
-/// [`gd_exec`] with the full self-healing ladder — each shard attempt is
-/// quarantined and retried with seeded-jitter backoff; a fan-out pass
-/// aborted below the quarantine keeps its completed shards and resubmits
-/// the rest; a watchdog thread flags attempts exceeding the deadline.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LocalDispatcher;
-
-impl ShardDispatcher for LocalDispatcher {
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
-    fn dispatch(&self, ctx: &DispatchContext<'_>) -> Result<(), CampaignError> {
-        let metrics = engine_metrics();
-        let spec = ctx.spec;
         let failed: Mutex<Option<CampaignError>> = Mutex::new(None);
         let inflight: Mutex<BTreeMap<u32, Instant>> = Mutex::new(BTreeMap::new());
         let done: Mutex<BTreeSet<u32>> = Mutex::new(BTreeSet::new());
@@ -562,7 +509,7 @@ impl ShardDispatcher for LocalDispatcher {
                         metrics.shard_ms.observe(timer.elapsed_ms());
                         metrics.shard_retries.observe(u64::from(attempt - 1));
                         done.lock().unwrap().insert(index);
-                        (ctx.complete)(index, result);
+                        complete(index, result);
                         return;
                     }
                     Err(payload) => {
@@ -573,10 +520,10 @@ impl ShardDispatcher for LocalDispatcher {
                             "shard attempt panicked; quarantined",
                             shard = index,
                             attempt = attempt,
-                            budget = ctx.attempts,
+                            budget = self.shard_attempts,
                             cause = cause,
                         );
-                        if attempt >= ctx.attempts {
+                        if attempt >= self.shard_attempts {
                             metrics.shard_retries.observe(u64::from(attempt - 1));
                             let mut slot = failed.lock().unwrap();
                             if slot.is_none() {
@@ -607,11 +554,11 @@ impl ShardDispatcher for LocalDispatcher {
         // The fan-out itself can abort (a panic in the executor's worker
         // loop, below the per-shard quarantine — gd_chaos's
         // exec.worker_panic models exactly this). Completed shards are
-        // already reported through `ctx.complete`; resubmit the rest, and
+        // already reported through `complete`; resubmit the rest, and
         // only give up after repeated passes that complete nothing.
         let fanned: Result<(), CampaignError> = std::thread::scope(|s| {
-            s.spawn(|| watchdog_loop(&inflight, &stop, ctx.watchdog_deadline, metrics));
-            let mut pending: Vec<(u32, ShardWork)> = ctx.missing.to_vec();
+            s.spawn(|| watchdog_loop(&inflight, &stop, self.watchdog_deadline, metrics));
+            let mut pending = missing;
             let mut idle_passes = 0u32;
             let out = loop {
                 let before = done.lock().unwrap().len();
@@ -662,7 +609,20 @@ impl ShardDispatcher for LocalDispatcher {
         if let Some(err) = failed.into_inner().unwrap() {
             return Err(err);
         }
-        Ok(())
+        Ok(completed.into_inner().unwrap())
+    }
+
+    /// Looks a finished campaign up by its content address. A missing,
+    /// torn, or corrupt cache file is a miss (the engine recomputes and
+    /// rewrites).
+    pub fn cache_lookup(&self, cache_key: &str) -> Option<CampaignResult> {
+        let dir = self.store.as_ref()?;
+        let path = dir.join("cache").join(format!("{cache_key}.json"));
+        let text = read_store_file(&path, "cached result")?;
+        match CampaignResult::from_json_text(&text) {
+            Ok(result) if result.cache_key == cache_key => Some(result),
+            _ => None,
+        }
     }
 }
 
@@ -686,13 +646,7 @@ fn splitmix(mut z: u64) -> u64 {
 /// exponential delay. Different streams de-synchronize (simultaneous
 /// failures don't resubmit in lockstep) while a fixed seed replays the
 /// exact schedule — retry timing stays testable.
-pub fn retry_backoff(
-    base: Duration,
-    cap: Duration,
-    attempt: u32,
-    seed: u64,
-    stream: u64,
-) -> Duration {
+fn retry_backoff(base: Duration, cap: Duration, attempt: u32, seed: u64, stream: u64) -> Duration {
     const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
     let ceiling = backoff(base, cap, attempt);
     let h = splitmix(
@@ -705,7 +659,7 @@ pub fn retry_backoff(
 }
 
 /// Extracts a human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         return s.clone();
     }
@@ -769,22 +723,21 @@ fn watchdog_loop(
 
 /// First line of every store file: `#gd-sha256:<hex>\n` over the body.
 ///
-/// The ISSUE calls this a "footer", but a footer cannot survive the
-/// fault it exists to catch — truncation eats the end of the file first,
-/// deleting the footer along with the evidence. As a *header* the seal
-/// survives any torn tail and the hash mismatch convicts it.
-pub(crate) const SEAL_PREFIX: &str = "#gd-sha256:";
+/// A header, not a footer: a footer cannot survive the fault it exists
+/// to catch — truncation eats the end of the file first, deleting the
+/// footer along with the evidence. As a *header* the seal survives any
+/// torn tail and the hash mismatch convicts it.
+const SEAL_PREFIX: &str = "#gd-sha256:";
 
-/// Prepends the integrity seal to a store file body. The fleet module
-/// reuses the same seal for shard payloads and results on the wire.
-pub(crate) fn seal(body: &str) -> String {
+/// Prepends the integrity seal to a store file body.
+fn seal(body: &str) -> String {
     format!("{SEAL_PREFIX}{}\n{body}", crate::hash::sha256_hex(body.as_bytes()))
 }
 
 /// Verifies and strips the integrity seal. Unsealed files (written
 /// before the seal existed) pass through — JSON parsing remains their
 /// only validation.
-pub(crate) fn unseal(text: &str) -> Result<&str, String> {
+fn unseal(text: &str) -> Result<&str, String> {
     let Some(rest) = text.strip_prefix(SEAL_PREFIX) else { return Ok(text) };
     let Some((want, body)) = rest.split_once('\n') else {
         return Err("file truncated inside the seal header".into());

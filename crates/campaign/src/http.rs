@@ -303,24 +303,6 @@ pub fn request_timeout_full(
     body: Option<&str>,
     timeout: Duration,
 ) -> Result<(u16, Vec<(String, String)>, String), String> {
-    request_timeout_with_headers(addr, method, path, &[], body, timeout)
-}
-
-/// [`request_timeout_full`] with additional request headers, written
-/// verbatim — the service's quota (`x-gd-client`) and priority
-/// (`x-gd-priority`) headers go through here.
-///
-/// # Errors
-///
-/// Same conditions as [`request_timeout`].
-pub fn request_timeout_with_headers(
-    addr: &str,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    body: Option<&str>,
-    timeout: Duration,
-) -> Result<(u16, Vec<(String, String)>, String), String> {
     let deadline = Instant::now() + timeout;
     let sock_addr = addr
         .to_socket_addrs()
@@ -333,12 +315,13 @@ pub fn request_timeout_with_headers(
     stream.set_write_timeout(Some(remaining)).map_err(|e| e.to_string())?;
     stream.set_read_timeout(Some(remaining)).map_err(|e| e.to_string())?;
     let body = body.unwrap_or("");
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    write!(stream, "{head}Content-Length: {}\r\nConnection: close\r\n\r\n{body}", body.len())
-        .map_err(|e| format!("sending request: {e}"))?;
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .map_err(|e| format!("sending request: {e}"))?;
     stream.flush().map_err(|e| e.to_string())?;
 
     let arm = |stream: &TcpStream, what: &str| -> Result<(), String> {

@@ -35,7 +35,6 @@ pub mod defense;
 pub mod engine;
 pub mod error;
 pub mod fig2;
-pub mod fleet;
 pub mod glitch_tables;
 pub mod hash;
 pub mod http;

@@ -4,7 +4,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /campaigns` | body = spec JSON; enqueue; `202 {"id": n}`, or `429` when the queue is full or the client's quota is spent |
+//! | `POST /campaigns` | body = spec JSON; enqueue; `202 {"id": n}`, or `429` when the queue is full |
 //! | `GET /campaigns/{id}` | job status: `queued` / `running` (+ shard progress) / `done` / `failed`, with `elapsed_ms` |
 //! | `GET /campaigns/{id}/results` | the finished result as JSON, or with `?format=text` the exact legacy report bytes; `409` + the failure message for a failed campaign, `404` only for unknown ids |
 //! | `GET /metrics` | every `gd_obs` metric family in the Prometheus text format |
@@ -19,23 +19,6 @@
 //! slow-dribbling clients), a write timeout on responses, and a short
 //! back-off when `accept` itself fails persistently (e.g. EMFILE)
 //! instead of a 100 % CPU error spin.
-//!
-//! ## Fairness ahead of backpressure
-//!
-//! Two admission controls run *before* the global queue-full `429`:
-//!
-//! * **Per-client quotas** ([`ServerConfig::client_quota`]): a client —
-//!   the `x-gd-client` header, or the peer IP when absent — may hold at
-//!   most that many campaigns queued-or-running at once. Exceeding it is
-//!   a `429` counted in `gd_http_quota_rejections_total`, and one
-//!   greedy client can no longer starve the shared queue.
-//! * **Priorities**: `x-gd-priority: high | normal | low` (default
-//!   `normal`) selects one of three FIFO sub-queues; the worker always
-//!   drains `high` before `normal` before `low`.
-//!
-//! With [`ServerConfig::workers`] set, the engine executes shards
-//! through a [`FleetDispatcher`] over those workers instead of the
-//! in-process pool — results stay byte-identical either way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -48,7 +31,6 @@ use std::time::{Duration, Instant};
 use gd_obs::Timer;
 
 use crate::engine::{CampaignResult, Engine};
-use crate::fleet::{FleetConfig, FleetDispatcher};
 use crate::http::{
     read_request_deadline, write_response, write_response_with, Request, RequestError,
 };
@@ -84,13 +66,6 @@ pub struct ServerConfig {
     /// that dribbles bytes slower than this gets `408` and its
     /// connection closed, instead of wedging the accept thread.
     pub read_deadline: Duration,
-    /// Maximum campaigns one client may hold queued-or-running at once
-    /// (`None` = unlimited). Clients identify via the `x-gd-client`
-    /// header, falling back to their peer IP.
-    pub client_quota: Option<usize>,
-    /// Worker addresses (`host:port`). Non-empty routes shard execution
-    /// through a [`FleetDispatcher`]; empty keeps the in-process pool.
-    pub workers: Vec<String>,
 }
 
 impl Default for ServerConfig {
@@ -100,8 +75,6 @@ impl Default for ServerConfig {
             store: None,
             queue_limit: 16,
             read_deadline: Duration::from_secs(10),
-            client_quota: None,
-            workers: Vec::new(),
         }
     }
 }
@@ -113,8 +86,6 @@ struct ServiceMetrics {
     queue_depth: Arc<gd_obs::Gauge>,
     /// `gd_http_429_total`
     rejected: Arc<gd_obs::Counter>,
-    /// `gd_http_quota_rejections_total`
-    quota_rejected: Arc<gd_obs::Counter>,
     /// `gd_http_request_timeouts_total`
     read_timeouts: Arc<gd_obs::Counter>,
     /// `gd_http_accept_errors_total`
@@ -134,11 +105,6 @@ fn service_metrics() -> &'static ServiceMetrics {
         rejected: gd_obs::counter(
             "gd_http_429_total",
             "submissions rejected with 429 because the queue was full",
-            &[],
-        ),
-        quota_rejected: gd_obs::counter(
-            "gd_http_quota_rejections_total",
-            "submissions rejected with 429 because the client's quota was spent",
             &[],
         ),
         read_timeouts: gd_obs::counter(
@@ -191,34 +157,6 @@ enum JobState {
     Failed(String),
 }
 
-/// Submission priority, from the `x-gd-priority` header. The discriminant
-/// indexes [`ServiceState::queues`]; lower drains first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Priority {
-    High = 0,
-    Normal = 1,
-    Low = 2,
-}
-
-impl Priority {
-    fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            _ => None,
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-}
-
 #[derive(Debug)]
 struct JobRecord {
     spec: CampaignSpec,
@@ -226,9 +164,6 @@ struct JobRecord {
     done: u32,
     total: u32,
     result: Option<CampaignResult>,
-    /// Quota identity this job counts against until it completes.
-    client: String,
-    priority: Priority,
     /// When the worker picked the job up (None while queued).
     started: Option<Instant>,
     /// Final wall time, frozen when the job completes or fails.
@@ -238,38 +173,14 @@ struct JobRecord {
 #[derive(Debug, Default)]
 struct ServiceState {
     next_id: u64,
-    /// One FIFO per [`Priority`], indexed by discriminant.
-    queues: [VecDeque<u64>; 3],
+    queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobRecord>,
-    /// Campaigns queued-or-running per client; entries vanish at zero.
-    active: BTreeMap<String, usize>,
-}
-
-impl ServiceState {
-    fn queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Next job to run: strict priority order, FIFO within a tier.
-    fn pop_next(&mut self) -> Option<u64> {
-        self.queues.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    fn release_client(&mut self, client: &str) {
-        if let Some(held) = self.active.get_mut(client) {
-            *held = held.saturating_sub(1);
-            if *held == 0 {
-                self.active.remove(client);
-            }
-        }
-    }
 }
 
 #[derive(Debug)]
 struct Inner {
     engine: Engine,
     queue_limit: usize,
-    client_quota: Option<usize>,
     read_deadline: Duration,
     shutdown: AtomicBool,
     state: Mutex<ServiceState>,
@@ -296,21 +207,13 @@ impl Server {
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let _ = service_metrics();
-        let mut engine = match &config.store {
+        let engine = match &config.store {
             Some(dir) => Engine::with_store(dir),
             None => Engine::ephemeral(),
         };
-        if !config.workers.is_empty() {
-            let fleet = FleetDispatcher::new(FleetConfig {
-                workers: config.workers.clone(),
-                ..FleetConfig::default()
-            });
-            engine = engine.with_dispatcher(Arc::new(fleet));
-        }
         let inner = Arc::new(Inner {
             engine,
             queue_limit: config.queue_limit,
-            client_quota: config.client_quota,
             read_deadline: config.read_deadline,
             shutdown: AtomicBool::new(false),
             state: Mutex::new(ServiceState::default()),
@@ -384,8 +287,8 @@ fn worker_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if let Some(id) = state.pop_next() {
-                    metrics.queue_depth.set(state.queued() as i64);
+                if let Some(id) = state.queue.pop_front() {
+                    metrics.queue_depth.set(state.queue.len() as i64);
                     let job = state.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
                     job.started = Some(Instant::now());
@@ -407,10 +310,8 @@ fn worker_loop(inner: &Inner) {
         let elapsed_ms = timer.elapsed_ms();
         metrics.campaign_ms.observe(elapsed_ms);
         let mut state = inner.state.lock().unwrap();
-        let mut finished_client = None;
         if let Some(job) = state.jobs.get_mut(&id) {
             job.duration_ms = Some(elapsed_ms);
-            finished_client = Some(job.client.clone());
             match outcome {
                 Ok(result) => {
                     gd_obs::info!(
@@ -435,10 +336,6 @@ fn worker_loop(inner: &Inner) {
                 }
             }
         }
-        // The job no longer holds queue capacity — release its quota slot.
-        if let Some(client) = finished_client {
-            state.release_client(&client);
-        }
     }
 }
 
@@ -450,8 +347,8 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
         }
         // A persistent accept error (EMFILE, ENFILE, …) must degrade to
         // a paced retry loop, not a 100 % CPU spin.
-        let (mut stream, peer) = match listener.accept() {
-            Ok(conn) => conn,
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
             Err(e) => {
                 metrics.accept_errors.inc();
                 gd_obs::warn!("gd_campaign::service", "accept failed; backing off", error = e);
@@ -471,7 +368,7 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
         let _ = stream.set_write_timeout(Some(inner.read_deadline));
         match read_request_deadline(&mut stream, inner.read_deadline) {
             Ok(request) => {
-                let (status, content_type, body) = route(inner, &request, peer);
+                let (status, content_type, body) = route(inner, &request);
                 record_request(route_label(&request.path), status);
                 gd_obs::debug!(
                     "gd_campaign::service",
@@ -521,10 +418,10 @@ fn json_body(v: &Json) -> Vec<u8> {
 
 type Response = (u16, String, Vec<u8>);
 
-fn route(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
+fn route(inner: &Inner, request: &Request) -> Response {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["campaigns"]) => submit(inner, request, peer),
+        ("POST", ["campaigns"]) => submit(inner, request),
         ("GET", ["campaigns", id]) => with_job(inner, id, status_response),
         ("GET", ["campaigns", id, "results"]) => {
             let as_text = request.query.split('&').any(|kv| kv == "format=text");
@@ -551,7 +448,7 @@ fn ok_json(v: &Json) -> Response {
     (200, "application/json".into(), json_body(v))
 }
 
-fn submit(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
+fn submit(inner: &Inner, request: &Request) -> Response {
     let text = match std::str::from_utf8(&request.body) {
         Ok(t) => t,
         Err(_) => return (400, "application/json".into(), error_json("body is not UTF-8")),
@@ -559,20 +456,6 @@ fn submit(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
     let spec = match CampaignSpec::from_json_text(text) {
         Ok(s) => s,
         Err(e) => return (400, "application/json".into(), error_json(&e)),
-    };
-    let priority = match request.header("x-gd-priority") {
-        None => Priority::Normal,
-        Some(value) => match Priority::parse(value) {
-            Some(p) => p,
-            None => {
-                let e = format!("unknown x-gd-priority {value:?}: use high, normal, or low");
-                return (400, "application/json".into(), error_json(&e));
-            }
-        },
-    };
-    let client = match request.header("x-gd-client") {
-        Some(name) if !name.is_empty() => name.to_string(),
-        _ => peer.ip().to_string(),
     };
     // Size the progress denominator up front so `queued` status already
     // reports the shard total.
@@ -586,22 +469,7 @@ fn submit(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
         None => full,
     };
     let mut state = inner.state.lock().unwrap();
-    // Quota first: a client over its own allowance gets the targeted
-    // refusal even when the shared queue also happens to be full.
-    if let Some(quota) = inner.client_quota {
-        if state.active.get(&client).copied().unwrap_or(0) >= quota {
-            service_metrics().quota_rejected.inc();
-            gd_obs::debug!(
-                "gd_campaign::service",
-                "client quota spent",
-                client = client,
-                quota = quota,
-            );
-            let e = format!("client quota spent ({quota} campaigns in flight), retry later");
-            return (429, "application/json".into(), error_json(&e));
-        }
-    }
-    if state.queued() >= inner.queue_limit {
+    if state.queue.len() >= inner.queue_limit {
         service_metrics().rejected.inc();
         return (429, "application/json".into(), error_json("queue full, retry later"));
     }
@@ -615,15 +483,12 @@ fn submit(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
             done: 0,
             total,
             result: None,
-            client: client.clone(),
-            priority,
             started: None,
             duration_ms: None,
         },
     );
-    state.queues[priority as usize].push_back(id);
-    *state.active.entry(client).or_insert(0) += 1;
-    service_metrics().queue_depth.set(state.queued() as i64);
+    state.queue.push_back(id);
+    service_metrics().queue_depth.set(state.queue.len() as i64);
     inner.wake.notify_all();
     (
         202,
@@ -631,7 +496,6 @@ fn submit(inner: &Inner, request: &Request, peer: SocketAddr) -> Response {
         json_body(&Json::obj(vec![
             ("id", Json::Int(id.into())),
             ("url", Json::Str(format!("/campaigns/{id}"))),
-            ("priority", Json::Str(priority.label().into())),
         ])),
     )
 }
@@ -673,7 +537,6 @@ fn status_response(job: &JobRecord) -> Response {
         ("total", Json::Int(job.total.into())),
         ("elapsed_ms", Json::Int(i64::try_from(job_elapsed_ms(job)).unwrap_or(i64::MAX).into())),
         ("workload", Json::Str(job.spec.workload.kind().into())),
-        ("priority", Json::Str(job.priority.label().into())),
     ];
     if let Some(e) = error {
         fields.push(("error", Json::Str(e)));
@@ -702,7 +565,7 @@ fn results_response(job: &JobRecord, as_text: bool) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{request, request_timeout_with_headers};
+    use crate::http::request;
 
     /// Control-plane behavior that needs no campaign work: routing,
     /// validation, metrics exposition, and shutdown. (Full campaigns
@@ -746,116 +609,6 @@ mod tests {
             "ids are collapsed to a pattern label: {text}"
         );
         assert!(text.contains("# TYPE gd_campaign_queue_depth gauge"), "{text}");
-
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn priorities_drain_high_before_normal_before_low() {
-        let mut state = ServiceState::default();
-        // Submission order: low 0, normal 1, high 2, normal 3, high 4.
-        state.queues[Priority::Low as usize].push_back(0);
-        state.queues[Priority::Normal as usize].push_back(1);
-        state.queues[Priority::High as usize].push_back(2);
-        state.queues[Priority::Normal as usize].push_back(3);
-        state.queues[Priority::High as usize].push_back(4);
-        assert_eq!(state.queued(), 5);
-        let drained: Vec<u64> = std::iter::from_fn(|| state.pop_next()).collect();
-        assert_eq!(drained, vec![2, 4, 1, 3, 0], "tiers strict, FIFO within a tier");
-        assert_eq!(state.queued(), 0);
-
-        state.active.insert("alice".into(), 2);
-        state.release_client("alice");
-        assert_eq!(state.active.get("alice"), Some(&1));
-        state.release_client("alice");
-        assert!(!state.active.contains_key("alice"), "entries vanish at zero");
-        state.release_client("ghost"); // never counted: must not panic or underflow
-        assert!(state.active.is_empty());
-    }
-
-    #[test]
-    fn client_quotas_reject_the_greedy_and_admit_the_rest() {
-        let config = ServerConfig { client_quota: Some(1), ..ServerConfig::default() };
-        let server = Server::start(config).unwrap();
-        let addr = server.addr().to_string();
-        let spec = r#"{"version":1,"workload":{"kind":"fig2"},"shards":[0,1]}"#;
-        let deadline = Duration::from_secs(10);
-
-        // Alice's first campaign is admitted and holds her whole quota
-        // until it completes — whether queued or already running.
-        let (status, _, body) = request_timeout_with_headers(
-            &addr,
-            "POST",
-            "/campaigns",
-            &[("x-gd-client", "alice"), ("x-gd-priority", "high")],
-            Some(spec),
-            deadline,
-        )
-        .unwrap();
-        assert_eq!(status, 202, "{body}");
-        assert!(body.contains(r#""priority":"high""#), "{body}");
-        let (status, _, body) = request_timeout_with_headers(
-            &addr,
-            "POST",
-            "/campaigns",
-            &[("x-gd-client", "alice")],
-            Some(spec),
-            deadline,
-        )
-        .unwrap();
-        assert_eq!(status, 429, "{body}");
-        assert!(body.contains("quota"), "{body}");
-
-        // A different client is unaffected by Alice's spent quota.
-        let (status, _, body) = request_timeout_with_headers(
-            &addr,
-            "POST",
-            "/campaigns",
-            &[("x-gd-client", "bob"), ("x-gd-priority", "low")],
-            Some(spec),
-            deadline,
-        )
-        .unwrap();
-        assert_eq!(status, 202, "{body}");
-
-        let (status, _, body) = request_timeout_with_headers(
-            &addr,
-            "POST",
-            "/campaigns",
-            &[("x-gd-priority", "urgent")],
-            Some(spec),
-            deadline,
-        )
-        .unwrap();
-        assert_eq!(status, 400, "{body}");
-        assert!(body.contains("urgent"), "{body}");
-
-        let (status, text) = request(&addr, "GET", "/metrics", None).unwrap();
-        assert_eq!(status, 200);
-        assert!(text.contains("gd_http_quota_rejections_total"), "{text}");
-
-        // Wait for both campaigns to finish; completion releases the
-        // quota slot, so Alice may submit again.
-        let waiting = Instant::now();
-        loop {
-            let (_, a) = request(&addr, "GET", "/campaigns/0", None).unwrap();
-            let (_, b) = request(&addr, "GET", "/campaigns/1", None).unwrap();
-            if a.contains(r#""state":"done""#) && b.contains(r#""state":"done""#) {
-                break;
-            }
-            assert!(waiting.elapsed() < Duration::from_secs(60), "campaigns wedged: {a} {b}");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let (status, _, body) = request_timeout_with_headers(
-            &addr,
-            "POST",
-            "/campaigns",
-            &[("x-gd-client", "alice")],
-            Some(spec),
-            deadline,
-        )
-        .unwrap();
-        assert_eq!(status, 202, "completion must release the quota slot: {body}");
 
         server.shutdown().unwrap();
     }

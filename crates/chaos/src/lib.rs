@@ -82,23 +82,10 @@ pub mod sites {
     /// The service delays [`super::HTTP_READ_DELAY`] before reading a
     /// request.
     pub const HTTP_DELAY_READ: &str = "http.delay_read";
-    /// The fleet dispatcher's connection to a worker drops before the
-    /// shard payload is sent. Surviving it requires the fleet retry /
-    /// quarantine / local-fallback ladder.
-    pub const FLEET_CONN_DROP: &str = "fleet.conn_drop";
-    /// A worker hangs for [`super::FLEET_HANG_DELAY`] before computing a
-    /// leased shard — the straggler the dispatcher's hedging exists for.
-    pub const FLEET_HANG: &str = "fleet.hang";
-    /// A shard result returned by a worker arrives with one bit flipped.
-    /// Surviving it requires the SHA-256 payload seal.
-    pub const FLEET_CORRUPT_RESULT: &str = "fleet.corrupt_result";
-    /// A worker crashes mid-shard: the connection closes without a
-    /// response. Surviving it requires re-dispatch to another worker.
-    pub const FLEET_WORKER_CRASH: &str = "fleet.worker_crash";
 
     /// Every site with a one-line description, in canonical order. The
     /// array index is the site's id throughout this crate.
-    pub const CATALOG: [(&str, &str); 12] = [
+    pub const CATALOG: [(&str, &str); 8] = [
         (EXEC_WORKER_PANIC, "fan-out worker panics before its chunk"),
         (EXEC_SLOW_CHUNK, "chunk sleeps before executing"),
         (ENGINE_SHARD_PANIC, "shard attempt panics inside the quarantine"),
@@ -107,10 +94,6 @@ pub mod sites {
         (STORE_CORRUPT, "checkpoint/cache read returns a flipped bit"),
         (HTTP_DROP_CONN, "accepted connection dropped before the read"),
         (HTTP_DELAY_READ, "request read delayed"),
-        (FLEET_CONN_DROP, "dispatcher-to-worker connection dropped before the send"),
-        (FLEET_HANG, "worker stalls before computing a leased shard"),
-        (FLEET_CORRUPT_RESULT, "worker shard result arrives with a flipped bit"),
-        (FLEET_WORKER_CRASH, "worker dies mid-shard; connection closes unanswered"),
     ];
 
     /// Number of sites in [`CATALOG`].
@@ -121,10 +104,6 @@ pub mod sites {
 pub const SLOW_CHUNK_DELAY: Duration = Duration::from_millis(15);
 /// How long the service stalls when `http.delay_read` fires.
 pub const HTTP_READ_DELAY: Duration = Duration::from_millis(25);
-/// How long a worker stalls before computing when `fleet.hang` fires —
-/// long enough to trip any realistic hedge threshold, short enough that
-/// a doubly-hung shard still lands inside the dispatch timeout.
-pub const FLEET_HANG_DELAY: Duration = Duration::from_millis(400);
 
 /// Every panic gd-chaos injects carries this prefix, so harnesses (and
 /// the `gd-campaign chaos` soak) can tell injected faults from real bugs.
@@ -496,37 +475,6 @@ pub fn delay_read() {
     }
 }
 
-/// `fleet.conn_drop`: true when the dispatcher's connection to a worker
-/// should fail before the shard payload is sent.
-pub fn fleet_conn_dropped() -> bool {
-    should_inject(sites::FLEET_CONN_DROP)
-}
-
-/// `fleet.hang`: stalls a worker for [`FLEET_HANG_DELAY`] before it
-/// computes a leased shard, when the site fires.
-pub fn fleet_hang() {
-    if should_inject(sites::FLEET_HANG) {
-        std::thread::sleep(FLEET_HANG_DELAY);
-    }
-}
-
-/// `fleet.corrupt_result`: flips one bit in the middle of a shard
-/// result received from a worker. Returns whether the site fired.
-pub fn fleet_corrupt_result(bytes: &mut [u8]) -> bool {
-    if should_inject(sites::FLEET_CORRUPT_RESULT) && !bytes.is_empty() {
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        return true;
-    }
-    false
-}
-
-/// `fleet.worker_crash`: true when a worker should die mid-shard —
-/// close the connection without a response.
-pub fn fleet_worker_crashed() -> bool {
-    should_inject(sites::FLEET_WORKER_CRASH)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,6 +498,7 @@ mod tests {
             ("7:", "lists no sites"),
             ("7:exec.worker_panic", "not `<site>=<rate>`"),
             ("7:engine.reactor_breach=0.5", "unknown chaos site"),
+            ("7:fleet.hang=0.5", "unknown chaos site"),
             ("7:exec.worker_panic=1.5", "outside [0, 1]"),
             ("7:exec.worker_panic=-0.1", "outside [0, 1]"),
             ("7:exec.worker_panic=NaN", "outside [0, 1]"),
@@ -637,28 +586,6 @@ mod tests {
                 "missing {site} in: {rendered}"
             );
         }
-    }
-
-    #[test]
-    fn fleet_sites_inject_as_documented() {
-        let on = activate(
-            Plan::parse("13:fleet.conn_drop=1,fleet.corrupt_result=1,fleet.worker_crash=1")
-                .unwrap(),
-        );
-        assert!(fleet_conn_dropped());
-        assert!(fleet_worker_crashed());
-        let mut body = b"sealed-result".to_vec();
-        assert!(fleet_corrupt_result(&mut body));
-        assert_ne!(body, b"sealed-result".to_vec(), "one bit flips");
-        // Guards serialize on a process-global lock; release the active
-        // plan before taking the suppression guard.
-        drop(on);
-        let _off = suppress();
-        assert!(!fleet_conn_dropped());
-        assert!(!fleet_worker_crashed());
-        let mut clean = b"ok".to_vec();
-        assert!(!fleet_corrupt_result(&mut clean));
-        assert_eq!(clean, b"ok".to_vec());
     }
 
     #[test]

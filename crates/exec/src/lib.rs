@@ -157,10 +157,9 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// as if `f` were already executing inside a [`par_map_chunks`] worker.
 /// The scope is restored even on unwind.
 ///
-/// Remote shard executors use this: a worker process serving several
-/// concurrent shard leases gets its parallelism from the leases
-/// themselves, so the sweeps *inside* each shard must not multiply the
-/// thread count again.
+/// A caller that already runs several independent jobs concurrently
+/// uses this so the sweeps *inside* each job do not multiply the thread
+/// count again.
 pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
