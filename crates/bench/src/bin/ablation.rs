@@ -1,8 +1,7 @@
 //! Ablation study: Table VI only reports *All* and *All\Delay*; this
 //! extension measures each defense's individual contribution against the
 //! worst-case `while(!a)` guard under a single-glitch campaign, answering
-//! which mechanism buys which part of the protection. `--check` diffs the
-//! output against `results/ablation.txt`.
+//! which mechanism buys which part of the protection.
 
 use std::process::ExitCode;
 
@@ -94,5 +93,5 @@ fn regenerate() {
 }
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("ablation.txt", &[], regenerate)
+    gd_bench::artifact_main(regenerate)
 }

@@ -1,12 +1,11 @@
 //! Regenerates Figure 2: exhaustive bit-flip sweeps over every Thumb
 //! conditional branch under the AND / OR / AND-with-invalid-zero models.
-//! A thin client of the campaign engine; `--check` diffs the output
-//! against `results/fig2.txt`.
+//! A thin client of the campaign engine.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("fig2.txt", &[], || {
+    gd_bench::artifact_main(|| {
         let result = gd_campaign::Engine::ephemeral()
             .run(&gd_campaign::CampaignSpec::fig2())
             .expect("campaign runs");

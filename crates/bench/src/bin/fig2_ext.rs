@@ -1,8 +1,7 @@
 //! Extension experiment: Figure 2's exhaustive sweep applied to whole
 //! instruction *classes* (ALU, compare, load, store), testing the paper's
 //! §V observation — memory operations are far more fault-prone than pure
-//! register manipulation — at the encoding level. `--check` diffs the
-//! output against `results/fig2_ext.txt`.
+//! register manipulation — at the encoding level.
 
 use std::process::ExitCode;
 
@@ -38,5 +37,5 @@ fn regenerate() {
 }
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("fig2_ext.txt", &[], regenerate)
+    gd_bench::artifact_main(regenerate)
 }

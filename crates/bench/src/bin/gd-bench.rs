@@ -168,31 +168,20 @@ fn bench_fig2(h: &Harness) -> Json {
 /// `scan_cell`, which boots once per worker chunk, restores per attempt,
 /// and runs the unglitched baseline once for every point that cannot
 /// fault. Both run on one thread, so their ratio measures the scan
-/// itself, not thread scaling. The interpreter/predecoded pair times
-/// `scan_cell` with device predecoding off vs on.
+/// itself, not thread scaling.
 fn bench_table1(h: &Harness) -> Json {
     let model = FaultModel::default();
     let (name, src) = targets::table1_guards()[0];
     let reg = post_mortem_reg(name);
     let spec = guard_spec();
-    let mut dev_interp = Device::from_asm(src).expect("guard assembles");
-    dev_interp.set_predecode_enabled(false);
-    let dev_fast = Device::from_asm(src).expect("guard assembles");
+    let dev = Device::from_asm(src).expect("guard assembles");
 
     let stages = vec![
-        h.measure("scan_cell/interpreter", || {
-            scan_cell(&dev_interp, &model, 0, 0, 1, &spec, Some(reg))
-        }),
-        h.measure("scan_cell/predecoded", || {
-            scan_cell(&dev_fast, &model, 0, 0, 1, &spec, Some(reg))
-        }),
         h.measure("scan_cell/reference", || {
-            gd_exec::with_threads(1, || {
-                scan_grid_serial(&dev_fast, &model, 0..1, 1, &spec, Some(reg))
-            })
+            gd_exec::with_threads(1, || scan_grid_serial(&dev, &model, 0..1, 1, &spec, Some(reg)))
         }),
         h.measure("scan_cell/fast", || {
-            gd_exec::with_threads(1, || scan_cell(&dev_fast, &model, 0, 0, 1, &spec, Some(reg)))
+            gd_exec::with_threads(1, || scan_cell(&dev, &model, 0, 0, 1, &spec, Some(reg)))
         }),
     ];
     for m in &stages {
@@ -201,20 +190,12 @@ fn bench_table1(h: &Harness) -> Json {
     trajectory::doc(
         "table1",
         &stages,
-        &[
-            Speedup {
-                name: "scan_cell",
-                baseline: "scan_cell/interpreter",
-                fast: "scan_cell/predecoded",
-                min_milli: None,
-            },
-            Speedup {
-                name: "scan_cell_fast",
-                baseline: "scan_cell/reference",
-                fast: "scan_cell/fast",
-                min_milli: Some(3000),
-            },
-        ],
+        &[Speedup {
+            name: "scan_cell_fast",
+            baseline: "scan_cell/reference",
+            fast: "scan_cell/fast",
+            min_milli: Some(3000),
+        }],
     )
 }
 

@@ -4,8 +4,6 @@
 //!   findings, agreement tables) — the `results/cfg_boot.txt` artifact.
 //! - `--ingest`: the same over the committed demo dump —
 //!   `results/cfg_ingest.txt`.
-//! - `--check`: diff both regenerated artifacts against their committed
-//!   goldens.
 //! - `--gate`: re-run the agreement sweeps (boot `None` + `All`, ingest
 //!   demo) and exit non-zero if any simulator-proved-Successful fault
 //!   was classified statically safe — the soundness gate.
@@ -129,19 +127,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("--gate") => gate(),
-        Some("--check") => {
-            let mut code = ExitCode::SUCCESS;
-            for (golden, regen_args) in
-                [("cfg_boot.txt", &[][..]), ("cfg_ingest.txt", &["--ingest"][..])]
-            {
-                if gd_bench::selfcheck::check(golden, regen_args) != ExitCode::SUCCESS {
-                    code = ExitCode::FAILURE;
-                }
-            }
-            code
-        }
         Some(other) => {
-            eprintln!("unknown argument `{other}` (try --ingest, --check, --gate, --deny)");
+            eprintln!("unknown argument `{other}` (try --ingest, --gate, --deny)");
             ExitCode::FAILURE
         }
     }

@@ -9,8 +9,6 @@
 //!   the ingested image — `results/multifault_ingest.txt`. Output is
 //!   bit-identical at any `GD_THREADS`: the class list is chunked at a
 //!   fixed size and tallies merge in chunk order.
-//! - `--check`: diff all three regenerated artifacts against their
-//!   committed goldens.
 
 use std::process::ExitCode;
 
@@ -221,21 +219,8 @@ fn main() -> ExitCode {
             print!("{}", faultsim_report());
             ExitCode::SUCCESS
         }
-        Some("--check") => {
-            let mut code = ExitCode::SUCCESS;
-            for (golden, regen_args) in [
-                ("ingest_demo.txt", &[][..]),
-                ("lint_ingest.txt", &["--lint"][..]),
-                ("multifault_ingest.txt", &["--faultsim"][..]),
-            ] {
-                if gd_bench::selfcheck::check(golden, regen_args) != ExitCode::SUCCESS {
-                    code = ExitCode::FAILURE;
-                }
-            }
-            code
-        }
         Some(other) => {
-            eprintln!("unknown argument `{other}` (try --lint, --faultsim, --check)");
+            eprintln!("unknown argument `{other}` (try --lint, --faultsim)");
             ExitCode::FAILURE
         }
     }

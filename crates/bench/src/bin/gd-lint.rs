@@ -2,7 +2,6 @@
 //!
 //! - no arguments: print the full report (all Table IV configurations) —
 //!   the `results/lint_boot.txt` artifact.
-//! - `--check`: diff the regenerated report against the committed golden.
 //! - `--deny [--config NAME] [--allow SPEC]...`: lint one configuration
 //!   (default `All`) and exit non-zero on any unsuppressed
 //!   warning-or-worse finding. `SPEC` is `LINT` or `function:LINT`.
@@ -20,10 +19,15 @@ fn find_config(name: &str) -> Option<(&'static str, glitch_resistor::Defenses)> 
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--deny" || a == "--json") {
-        return single_config(&args);
+    if args.is_empty() {
+        print!("{}", full_report());
+        return ExitCode::SUCCESS;
     }
-    gd_bench::selfcheck::main("lint_boot.txt", &[], || print!("{}", full_report()))
+    if !args.iter().any(|a| a == "--deny" || a == "--json") {
+        eprintln!("usage: gd-lint [--deny | --json] [--config NAME] [--allow SPEC]...");
+        return ExitCode::FAILURE;
+    }
+    single_config(&args)
 }
 
 fn single_config(args: &[String]) -> ExitCode {

@@ -1,34 +1,52 @@
 //! Firmware inspector: compile an evaluation firmware with a chosen defense
 //! configuration and dump its annotated disassembly, symbols, and section
-//! sizes. `--check` diffs the default `guard all` dump against
-//! `results/gdump_guard_all.txt`.
+//! sizes. The default `guard all` dump is `results/gdump_guard_all.txt`.
 //!
 //! ```text
 //! cargo run -p gd-bench --release --bin gdump -- boot all
 //! cargo run -p gd-bench --release --bin gdump -- guard none
 //! ```
+//!
+//! An unknown firmware or configuration name exits non-zero with usage.
 
 use std::process::ExitCode;
 
 use gd_backend::compile;
+use gd_ir::Module;
 use glitch_resistor::{harden, Config, Defenses};
 
-fn regenerate() {
+const USAGE: &str = "usage: gdump [guard|boot|enum [all|none|nodelay|branches]]";
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("guard");
     let cfg = args.get(1).map(String::as_str).unwrap_or("all");
-
-    let mut module = match which {
-        "boot" => gd_firmware::boot(),
-        "enum" => gd_firmware::if_a_eq_success(),
-        _ => gd_firmware::while_not_a(),
+    let firmware: Option<fn() -> Module> = match which {
+        "guard" => Some(gd_firmware::while_not_a),
+        "boot" => Some(gd_firmware::boot),
+        "enum" => Some(gd_firmware::if_a_eq_success),
+        _ => None,
     };
     let defenses = match cfg {
-        "none" => Defenses::NONE,
-        "nodelay" => Defenses::ALL_EXCEPT_DELAY,
-        "branches" => Defenses::BRANCHES,
-        _ => Defenses::ALL,
+        "all" => Some(Defenses::ALL),
+        "none" => Some(Defenses::NONE),
+        "nodelay" => Some(Defenses::ALL_EXCEPT_DELAY),
+        "branches" => Some(Defenses::BRANCHES),
+        _ => None,
     };
+    match (firmware, defenses) {
+        (Some(firmware), Some(defenses)) if args.len() <= 2 => {
+            dump(firmware(), which, cfg, defenses);
+            ExitCode::SUCCESS
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn dump(mut module: Module, which: &str, cfg: &str, defenses: Defenses) {
     harden(&mut module, &Config::new(defenses));
     let image = compile(&module, "main").expect("firmware lowers");
 
@@ -59,8 +77,4 @@ fn regenerate() {
             println!(";   {addr:08x}  {name}");
         }
     }
-}
-
-fn main() -> ExitCode {
-    gd_bench::selfcheck::main("gdump_guard_all.txt", &["guard", "all"], regenerate)
 }

@@ -1,7 +1,6 @@
 //! Reproduces the §V-B experiment: automatically tuning glitch parameters
 //! to a 10-out-of-10 reliable configuration, reporting attempts and the
-//! bench wall-clock they correspond to. `--check` diffs the output
-//! against `results/search.txt`.
+//! bench wall-clock they correspond to.
 
 use std::process::ExitCode;
 
@@ -33,5 +32,5 @@ fn regenerate() {
 }
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("search.txt", &[], regenerate)
+    gd_bench::artifact_main(regenerate)
 }

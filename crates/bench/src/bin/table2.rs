@@ -1,11 +1,11 @@
 //! Regenerates Table II: multi-glitch (two identical back-to-back loops),
 //! partial vs full success per cycle. A thin client of the campaign
-//! engine; `--check` diffs the output against `results/table2.txt`.
+//! engine.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("table2.txt", &[], || {
+    gd_bench::artifact_main(|| {
         let result = gd_campaign::Engine::ephemeral()
             .run(&gd_campaign::CampaignSpec::table2())
             .expect("campaign runs");

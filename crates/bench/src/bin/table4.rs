@@ -1,10 +1,9 @@
 //! Regenerates Table IV: boot-time overhead (clock cycles) per defense.
-//! `--check` diffs the output against `results/table4.txt`.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("table4.txt", &[], || {
+    gd_bench::artifact_main(|| {
         let rows = gd_bench::overhead::table4();
         gd_bench::overhead::print_table4(&rows);
     })

@@ -1,10 +1,9 @@
 //! Regenerates Table V: firmware size overhead (bytes) per defense.
-//! `--check` diffs the output against `results/table5.txt`.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    gd_bench::selfcheck::main("table5.txt", &[], || {
+    gd_bench::artifact_main(|| {
         let rows = gd_bench::overhead::table5();
         gd_bench::overhead::print_table5(&rows);
     })

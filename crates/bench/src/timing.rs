@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 
 /// The sampled result of one benchmark: per-iteration times summarized
 /// as median/min/max over the sample set, plus the sampling plan that
-/// produced them. [`Harness::bench`] prints one; [`Harness::measure`]
-/// returns one for machine-readable consumers (the `gd-bench` binary
-/// serializes these into the committed `BENCH_*.json` trajectory).
+/// produced them. [`Harness::measure`] returns one; the `gd-bench`
+/// binary prints it and serializes it into the committed `BENCH_*.json`
+/// trajectory.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Benchmark name as passed to the harness.
@@ -66,25 +66,10 @@ impl Harness {
         h
     }
 
-    /// Times `f`, printing `name` with the median per-iteration time.
+    /// Times `f` and returns the summarized [`Measurement`].
     ///
     /// The closure's return value is passed through [`std::hint::black_box`]
     /// so the measured work cannot be optimized away.
-    pub fn bench<R>(&self, name: &str, f: impl FnMut() -> R) {
-        let m = self.measure(name, f);
-        println!(
-            "{:<40} median {:>10}   [min {:>10}, max {:>10}]   ({} samples x {} iters)",
-            m.name,
-            fmt_duration(m.median),
-            fmt_duration(m.min),
-            fmt_duration(m.max),
-            m.samples,
-            m.iters,
-        );
-    }
-
-    /// Times `f` and returns the summarized [`Measurement`] without
-    /// printing anything.
     pub fn measure<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Measurement {
         // Warm up: fill caches, trigger lazy init, settle the clock —
         // and count the runs, because the warm-up doubles as the
@@ -162,22 +147,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_nanos(1_500)), "1.50 us");
         assert_eq!(fmt_duration(Duration::from_micros(2_500)), "2.50 ms");
         assert_eq!(fmt_duration(Duration::from_millis(3_250)), "3.25 s");
-    }
-
-    #[test]
-    fn bench_runs_the_closure_and_terminates() {
-        // A fast plan so the unit test stays quick.
-        let h = Harness {
-            samples: 3,
-            sample_budget: Duration::from_micros(200),
-            warmup: Duration::from_micros(200),
-        };
-        let mut runs = 0u64;
-        h.bench("timing/self_test", || {
-            runs += 1;
-            runs
-        });
-        assert!(runs > 3, "warm-up + samples actually executed ({runs} runs)");
     }
 
     #[test]

@@ -11,9 +11,50 @@
 //! cargo test --release --offline -q -p gd-bench --test goldens -- --ignored
 //! ```
 
+use std::path::PathBuf;
 use std::process::Command;
 
-use gd_bench::selfcheck::{diff, golden_path};
+/// The committed golden file for one artifact (`results/<name>`).
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")).join(name)
+}
+
+/// First point of divergence between two outputs, as a human-readable
+/// report; `None` when byte-identical.
+fn diff(expected: &[u8], actual: &[u8]) -> Option<String> {
+    if expected == actual {
+        return None;
+    }
+    let expected = String::from_utf8_lossy(expected);
+    let actual = String::from_utf8_lossy(actual);
+    let mut want = expected.lines();
+    let mut got = actual.lines();
+    let mut line = 0usize;
+    loop {
+        line += 1;
+        match (want.next(), got.next()) {
+            (Some(w), Some(g)) if w == g => continue,
+            (Some(w), Some(g)) => {
+                return Some(format!("line {line}:\n  expected: {w}\n  actual:   {g}"));
+            }
+            (Some(w), None) => {
+                return Some(format!("line {line}: output ends early\n  expected: {w}"));
+            }
+            (None, Some(g)) => {
+                return Some(format!("line {line}: unexpected trailing output\n  actual:   {g}"));
+            }
+            // Same lines, different bytes: a trailing-newline or CR issue.
+            (None, None) => {
+                return Some(format!(
+                    "outputs differ only in line endings or a trailing newline \
+                     ({} vs {} bytes)",
+                    expected.len(),
+                    actual.len()
+                ));
+            }
+        }
+    }
+}
 
 /// One artifact: the binary, its arguments, and its golden file.
 type Row = (&'static str, &'static [&'static str], &'static str);
@@ -83,4 +124,45 @@ fn cheap_artifacts_match_their_goldens_at_every_thread_count() {
 #[ignore = "table6, ablation and gd-multifault: run in release via --ignored"]
 fn expensive_artifacts_match_their_goldens_at_every_thread_count() {
     check(EXPENSIVE);
+}
+
+/// The binaries no longer diff themselves against their goldens, so a
+/// leftover `--check` must fail instead of printing the artifact and
+/// passing without checking anything.
+#[test]
+fn a_stale_check_flag_fails_loudly() {
+    for exe in [
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_gd-cfg"),
+        env!("CARGO_BIN_EXE_gd-ingest"),
+    ] {
+        let output = Command::new(exe).arg("--check").output().expect("binary runs");
+        assert!(!output.status.success(), "{exe} --check exited with {}", output.status);
+        assert!(output.stdout.is_empty(), "{exe} --check printed to stdout");
+        assert!(!output.stderr.is_empty(), "{exe} --check explained nothing on stderr");
+    }
+}
+
+#[test]
+fn identical_outputs_have_no_diff() {
+    assert_eq!(diff(b"a\nb\n", b"a\nb\n"), None);
+}
+
+#[test]
+fn diff_names_the_first_divergent_line() {
+    let report = diff(b"a\nb\nc\n", b"a\nX\nc\n").unwrap();
+    assert!(report.contains("line 2") && report.contains("X"), "{report}");
+    let report = diff(b"a\nb\n", b"a\n").unwrap();
+    assert!(report.contains("ends early"), "{report}");
+    let report = diff(b"a\n", b"a\nb\n").unwrap();
+    assert!(report.contains("trailing"), "{report}");
+    let report = diff(b"a\nb\n", b"a\nb").unwrap();
+    assert!(report.contains("line endings"), "{report}");
+}
+
+#[test]
+fn golden_paths_point_into_results() {
+    let p = golden_path("table1.txt");
+    assert!(p.ends_with("results/table1.txt"), "{}", p.display());
+    assert!(p.exists(), "committed golden file present at {}", p.display());
 }

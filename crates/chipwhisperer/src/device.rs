@@ -3,10 +3,10 @@
 //! survives resets (the delay defense's seed lives there).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use gd_backend::{layout, FirmwareImage};
-use gd_emu::{Emu, Perms, PredecodedImage};
+use gd_emu::{Emu, Perms};
 use gd_pipeline::Pipeline;
 use gd_thumb::asm::{assemble, AsmError};
 
@@ -23,12 +23,6 @@ pub struct Device {
     pub sp: u32,
     /// Symbols (labels / functions / globals).
     pub symbols: BTreeMap<String, u32>,
-    /// Micro-op table for the flash image, built on first boot and shared
-    /// by every subsequent boot (flash contents are identical per boot).
-    predecode: OnceLock<Arc<PredecodedImage>>,
-    /// Whether boots attach the table; disabled for interpreter-path
-    /// baselines in benchmarks.
-    predecode_enabled: bool,
 }
 
 impl Device {
@@ -45,8 +39,6 @@ impl Device {
             entry: layout::FLASH_BASE,
             sp: layout::STACK_TOP,
             symbols: prog.symbols,
-            predecode: OnceLock::new(),
-            predecode_enabled: true,
         })
     }
 
@@ -58,18 +50,7 @@ impl Device {
             entry: image.entry,
             sp: layout::STACK_TOP,
             symbols: image.symbols.clone(),
-            predecode: OnceLock::new(),
-            predecode_enabled: true,
         }
-    }
-
-    /// Enables or disables predecoded dispatch on future boots.
-    ///
-    /// On by default; benchmarks switch it off to time the pure
-    /// interpreter path. The scan results are identical either way (the
-    /// table mirrors live decode), only the speed differs.
-    pub fn set_predecode_enabled(&mut self, enabled: bool) {
-        self.predecode_enabled = enabled;
     }
 
     /// Address of the detection flag, when the firmware has one.
@@ -118,18 +99,7 @@ impl Device {
         }
         emu.set_pc(self.entry);
         emu.cpu.set_sp(self.sp);
-        let mut pipe = Pipeline::new(emu);
-        if self.predecode_enabled {
-            // Flash bytes (text + flash-resident data records) are the
-            // same every boot, so the table from the first boot serves
-            // all later ones.
-            let image = self.predecode.get_or_init(|| {
-                let flash = pipe.emu.mem.region_at(layout::FLASH_BASE).expect("flash mapped");
-                Arc::new(PredecodedImage::from_region(flash, pipe.emu.cfg))
-            });
-            pipe.set_predecode(Arc::clone(image));
-        }
-        pipe
+        Pipeline::new(emu)
     }
 
     /// Snapshots the NVM region of a finished run (for the next boot).

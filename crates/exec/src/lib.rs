@@ -153,24 +153,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `f` with every nested fan-out forced onto this thread, exactly
-/// as if `f` were already executing inside a [`par_map_chunks`] worker.
-/// The scope is restored even on unwind.
-///
-/// A caller that already runs several independent jobs concurrently
-/// uses this so the sweeps *inside* each job do not multiply the thread
-/// count again.
-pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_WORKER.with(|w| w.set(self.0));
-        }
-    }
-    let _guard = Restore(IN_WORKER.with(|w| w.replace(true)));
-    f()
-}
-
 fn default_threads() -> usize {
     thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
@@ -480,26 +462,6 @@ mod tests {
             Some(v) => std::env::set_var("GD_THREADS", v),
             None => std::env::remove_var("GD_THREADS"),
         }
-    }
-
-    #[test]
-    fn serialized_scopes_force_and_restore_the_serial_path() {
-        let _guard = env_guard();
-        let metrics = exec_metrics();
-        let serial0 = metrics.serial_fallbacks.get();
-        let items: Vec<u32> = (0..64).collect();
-        let out = serialized(|| with_threads(8, || par_map(&items, |&x| x + 1)));
-        assert_eq!(out, (1..=64).collect::<Vec<u32>>(), "results are unchanged");
-        assert!(
-            metrics.serial_fallbacks.get() > serial0,
-            "the fan-out inside a serialized scope ran serially"
-        );
-        // The scope is restored, even on unwind.
-        let _ = catch_unwind(|| serialized(|| panic!("boom")));
-        let serial1 = metrics.serial_fallbacks.get();
-        let parallel = with_threads(2, || par_map_chunks(&items, 8, |c| c.items.len()));
-        assert_eq!(parallel.iter().sum::<usize>(), 64);
-        assert_eq!(metrics.serial_fallbacks.get(), serial1, "back on the parallel path");
     }
 
     #[test]

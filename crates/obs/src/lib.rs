@@ -15,8 +15,8 @@
 //! * **Structured logging** ([`log`]): leveled `key=value` lines to
 //!   stderr, filtered by the `GD_LOG` environment variable
 //!   (`GD_LOG=debug`, `GD_LOG=warn,gd_exec=trace`, `GD_LOG=off`; the
-//!   default is `info`). Stdout is never touched — the experiment
-//!   binaries' golden `--check` diffs compare stdout bytes.
+//!   default is `info`). Stdout is never touched — the golden manifest
+//!   diffs the experiment binaries' stdout bytes.
 //! * **Timing** ([`Timer`]): a monotonic stopwatch for feeding duration
 //!   histograms.
 //!

@@ -8,9 +8,8 @@
 //! corrupt the data bus of a load, force a skip, or brown the core out.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use gd_emu::{Emu, Fault, LoadOverride, PredecodedImage, Slot, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Emu, Fault, LoadOverride, Snapshot, StepOutcome, StopReason};
 use gd_thumb::Instr;
 
 use crate::timing::Timing;
@@ -93,7 +92,6 @@ pub struct Pipeline {
     trigger_cycles: Vec<u64>,
     pending_fetch: VecDeque<(usize, u16)>,
     retired: u64,
-    predecode: Option<Arc<PredecodedImage>>,
 }
 
 /// A point-in-time copy of a [`Pipeline`]'s run state, created by
@@ -117,24 +115,7 @@ impl Pipeline {
             trigger_cycles: Vec::new(),
             pending_fetch: VecDeque::new(),
             retired: 0,
-            predecode: None,
         }
-    }
-
-    /// Attaches a predecoded micro-op table for the firmware image.
-    ///
-    /// Decode is then served from the table whenever the in-flight
-    /// halfword is pristine; any glitch-corrupted halfword (a ripened
-    /// fetch mask, an exec-stage mask) is still decoded live, so injected
-    /// faults see exactly the interpreter semantics. The image must be
-    /// built from this emulator's executable region under its [`Config`]
-    /// (flash is read-only to the emulated program, so it cannot go
-    /// stale at run time).
-    ///
-    /// [`Config`]: gd_emu::Config
-    pub fn set_predecode(&mut self, image: Arc<PredecodedImage>) {
-        debug_assert_eq!(image.cfg(), self.emu.cfg, "image decoded under a different Config");
-        self.predecode = Some(image);
     }
 
     /// Elapsed cycles.
@@ -205,19 +186,7 @@ impl Pipeline {
         });
         hw &= ripe_mask;
 
-        // Pristine halfwords dispatch from the micro-op table when one is
-        // attached; corrupted fetches always decode live.
-        let cached = match &self.predecode {
-            Some(image) if ripe_mask == 0xFFFF => image.slot(addr),
-            _ => None,
-        };
-        let (instr, size) = match cached {
-            Some(Slot::Instr { instr, size }) => (instr, size),
-            // Same fault, at the same pre-window point, as a live decode
-            // failure would raise.
-            Some(Slot::Undefined { hw, hw2 }) => return Err(Fault::Undefined { addr, hw, hw2 }),
-            Some(Slot::Incomplete { .. } | Slot::Live) | None => self.emu.decode(addr, hw)?,
-        };
+        let (instr, size) = self.emu.decode(addr, hw)?;
         let est = self.timing.base_cycles(instr)
             + if instr.is_branch() { self.timing.taken_branch_penalty } else { 0 };
         let window = Window {
@@ -288,8 +257,8 @@ impl Pipeline {
 
     /// Captures the run state for later [`Pipeline::restore`]: the
     /// emulator, cycle and retired counts, trigger events, and in-flight
-    /// fetch corruption. Configuration ([`Pipeline::timing`] and the
-    /// predecoded table) is not part of it.
+    /// fetch corruption. Configuration ([`Pipeline::timing`]) is not part
+    /// of it.
     pub fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
             emu: self.emu.snapshot(),
@@ -302,7 +271,6 @@ impl Pipeline {
 
     /// Rolls the run state back to a [`PipelineSnapshot`] of this
     /// pipeline; memory is restored page by page (see [`Emu::restore`]).
-    /// The predecoded table stays attached.
     ///
     /// # Panics
     ///

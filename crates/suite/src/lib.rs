@@ -78,16 +78,12 @@ pub use gd_backend as backend;
 /// The evaluation firmware (§VII targets).
 pub use gd_firmware as firmware;
 
-/// The C-subset frontend (the Clang substitute).
-pub use gd_cc as cc;
-
 /// The sharded campaign engine, result store, and HTTP service.
 pub use gd_campaign as campaign;
 
 /// The most common imports in one place.
 pub mod prelude {
     pub use gd_backend::compile;
-    pub use gd_cc::compile_c;
     pub use gd_chipwhisperer::{
         run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams, SuccessCheck,
     };

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 gate: formatting, a warnings-denied release build, the full
-# workspace test suite, and experiment self-checks, all offline. The
+# workspace test suite, and the golden manifest, all offline. The
 # workspace has zero external dependencies, so this runs on a machine
 # with no network and no registry cache.
 set -eu
@@ -12,6 +12,12 @@ cargo fmt --check
 
 echo "==> cargo build --release --offline (RUSTFLAGS=-Dwarnings)"
 RUSTFLAGS=-Dwarnings cargo build --release --offline
+
+# The benchmark harness is a workspace of its own that builds against the
+# crates by path; building it here catches a change that breaks an API it
+# calls before anyone runs the benchmark.
+echo "==> perfbench builds against the workspace crates"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> cargo test --offline (workspace)"
 cargo test --offline -q
