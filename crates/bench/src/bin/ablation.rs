@@ -6,6 +6,7 @@
 use std::process::ExitCode;
 
 use gd_backend::compile;
+use gd_bench::outln;
 use gd_chipwhisperer::{
     run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams, SuccessCheck,
 };
@@ -66,12 +67,18 @@ fn regenerate() {
         ("All", Defenses::ALL),
     ];
 
-    gd_bench::report::heading(
+    gd_bench::emit(&gd_bench::report::heading_str(
         "Ablation — single-glitch campaign vs while(!a), per defense (faulting attempts only)",
-    );
-    println!(
+    ));
+    outln!(
         "{:<16} {:>9} {:>10} {:>11} {:>9} {:>11} {:>10}",
-        "Defense", "Attempts", "Successes", "Succ. rate", "Detected", "Det. rate", "Crashes"
+        "Defense",
+        "Attempts",
+        "Successes",
+        "Succ. rate",
+        "Detected",
+        "Det. rate",
+        "Crashes"
     );
     for (name, defenses) in configs {
         let mut m = module.clone();
@@ -80,12 +87,12 @@ fn regenerate() {
         let device = Device::from_image(&image);
         let (total, suc, det, crash) = campaign(&device, &model);
         let det_rate = if det + suc == 0 { 0.0 } else { 100.0 * det as f64 / (det + suc) as f64 };
-        println!(
+        outln!(
             "{name:<16} {total:>9} {suc:>10} {:>10.3}% {det:>9} {det_rate:>10.1}% {crash:>10}",
             100.0 * suc as f64 / total.max(1) as f64
         );
     }
-    println!(
+    outln!(
         "\n(branch duplication provides the bulk of the mitigation; loop hardening\n\
          closes the exit edge; the delay defense converts residual successes into\n\
          detections by de-aligning the attack window, as §VII argues)"

@@ -5,21 +5,30 @@
 
 use std::process::ExitCode;
 
+use gd_bench::outln;
 use gd_emu::Config;
 use gd_glitch_emu::ext::instruction_classes;
 use gd_glitch_emu::{Direction, Outcome};
 
 fn regenerate() {
-    gd_bench::report::heading("Extension — instruction-class skippability (1→0 flips)");
-    println!(
+    gd_bench::emit(&gd_bench::report::heading_str(
+        "Extension — instruction-class skippability (1→0 flips)",
+    ));
+    outln!(
         "{:<10} {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
-        "class", "instruction", "skip%", "badmem%", "invalid%", "failed%", "noeff%"
+        "class",
+        "instruction",
+        "skip%",
+        "badmem%",
+        "invalid%",
+        "failed%",
+        "noeff%"
     );
     for case in instruction_classes() {
         let t = case.sweep(Direction::And, Config::default());
         let total = t.total().max(1) as f64;
         let pct = |o: Outcome| 100.0 * t.count(o) as f64 / total;
-        println!(
+        outln!(
             "{:<10} {:<16} {:>7.2}% {:>8.2}% {:>8.2}% {:>8.2}% {:>8.2}%",
             case.name,
             case.text,
@@ -30,7 +39,7 @@ fn regenerate() {
             pct(Outcome::NoEffect),
         );
     }
-    println!(
+    outln!(
         "\n(\"skip\" = execution completed but the instruction's effect is missing;\n\
          note how memory classes trade skips for faults, as in the paper's §V)"
     );

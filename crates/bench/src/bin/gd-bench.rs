@@ -22,6 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gd_bench::glitch_tables::{guard_spec, post_mortem_reg};
+use gd_bench::outln;
 use gd_bench::timing::{fmt_duration, Harness, Measurement};
 use gd_bench::trajectory::{self, Metric, Speedup};
 use gd_campaign::json::Json;
@@ -40,7 +41,7 @@ fn bench_path(artifact: &str) -> PathBuf {
 }
 
 fn print_measurement(m: &Measurement) {
-    println!(
+    outln!(
         "{:<28} median {:>10}   [min {:>10}, max {:>10}]   ({} samples x {} iters)",
         m.name,
         fmt_duration(m.median),
@@ -289,7 +290,7 @@ fn check_artifact(artifact: &str, fresh: &Json, tolerance: u64) -> bool {
     match trajectory::check(&committed, fresh, tolerance) {
         Ok(report) => {
             for line in report {
-                println!("--check {artifact}: {line}");
+                outln!("--check {artifact}: {line}");
             }
             true
         }
@@ -313,7 +314,7 @@ fn write_artifact(artifact: &str, doc: &Json) -> bool {
     };
     match std::fs::write(&path, text + "\n") {
         Ok(()) => {
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
             true
         }
         Err(e) => {
@@ -339,7 +340,7 @@ fn main() -> ExitCode {
             ok &= check_artifact(artifact, fresh, tolerance);
         }
         if ok {
-            println!("--check OK: benchmark trajectory holds");
+            outln!("--check OK: benchmark trajectory holds");
         }
     } else {
         for (artifact, doc) in &docs {

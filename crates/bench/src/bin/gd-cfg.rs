@@ -19,6 +19,7 @@ use std::process::ExitCode;
 use gd_bench::cfg_report::{
     analyze_boot, boot_agreement, cfg_boot, full_report, ingest_agreement, ingest_report,
 };
+use gd_bench::outln;
 use gd_bench::overhead::configurations;
 use gd_lint::{LintReport, Severity, Suppressions};
 use glitch_resistor::Defenses;
@@ -36,11 +37,11 @@ fn gate() -> ExitCode {
     let mut unsound = 0u64;
     for (name, defenses) in [("None", Defenses::NONE), ("All", Defenses::ALL)] {
         let a = boot_agreement(name, defenses);
-        print!("{}", a.rendered);
+        gd_bench::emit(&a.rendered);
         unsound += a.total.unsound;
     }
     let a = ingest_agreement();
-    print!("{}", a.rendered);
+    gd_bench::emit(&a.rendered);
     unsound += a.total.unsound;
     if unsound > 0 {
         eprintln!(
@@ -49,7 +50,7 @@ fn gate() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("soundness gate OK: 0 unsound instances across boot None/All and the ingest demo");
+    outln!("soundness gate OK: 0 unsound instances across boot None/All and the ingest demo");
     ExitCode::SUCCESS
 }
 
@@ -79,7 +80,7 @@ fn deny(args: &[String]) -> ExitCode {
     }
     let (_, defenses) = find_config(config).expect("validated above");
     let (findings, rendered) = cfg_boot(config, defenses);
-    print!("{rendered}");
+    gd_bench::emit(&rendered);
     let report = LintReport::new(findings, &Suppressions::default());
     let denied = match lint {
         // Scoped to one lint: any finding of that lint denies,
@@ -116,14 +117,14 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         None => {
             record_metrics("boot", Defenses::NONE);
-            print!("{}", full_report());
+            gd_bench::emit(&full_report());
             ExitCode::SUCCESS
         }
         Some("--ingest") => {
             let ing = gd_bench::cfg_report::ingest_demo();
             let a = gd_bench::cfg_report::analyze_ingest(&ing);
             gd_cfg::metrics::record(&a.g, "ingest_demo");
-            print!("{}", ingest_report());
+            gd_bench::emit(&ingest_report());
             ExitCode::SUCCESS
         }
         Some("--gate") => gate(),

@@ -194,7 +194,7 @@ fn faultsim_report() -> String {
         simulated += s;
     }
     out.push('\n');
-    let milli = if enumerated == 0 { 0 } else { pruned * 1000 / enumerated };
+    let milli = (pruned * 1000).checked_div(enumerated).unwrap_or(0);
     out.push_str(&format!(
         "Pruned {pruned} of {enumerated} candidate trials ({}.{}% = {milli} milli); \
          simulated {simulated}\n",
@@ -208,15 +208,15 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None => {
-            print!("{}", report());
+            gd_bench::emit(&report());
             ExitCode::SUCCESS
         }
         Some("--lint") => {
-            print!("{}", lint_report());
+            gd_bench::emit(&lint_report());
             ExitCode::SUCCESS
         }
         Some("--faultsim") => {
-            print!("{}", faultsim_report());
+            gd_bench::emit(&faultsim_report());
             ExitCode::SUCCESS
         }
         Some(other) => {

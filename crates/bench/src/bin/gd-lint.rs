@@ -10,6 +10,7 @@
 use std::process::ExitCode;
 
 use gd_bench::lint::{full_report, lint_boot};
+use gd_bench::outln;
 use gd_bench::overhead::configurations;
 use gd_lint::Suppressions;
 
@@ -20,7 +21,7 @@ fn find_config(name: &str) -> Option<(&'static str, glitch_resistor::Defenses)> 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        print!("{}", full_report());
+        gd_bench::emit(&full_report());
         return ExitCode::SUCCESS;
     }
     if !args.iter().any(|a| a == "--deny" || a == "--json") {
@@ -75,13 +76,13 @@ fn single_config(args: &[String]) -> ExitCode {
     // Re-apply suppressions over the raw findings.
     let report = gd_lint::LintReport::new(report.findings().to_vec(), &suppress);
     if json {
-        println!("{}", report.render_json());
+        outln!("{}", report.render_json());
     } else if allows.is_empty() {
-        print!("{rendered}");
+        gd_bench::emit(&rendered);
     } else {
         // The full rendering predates suppression; re-render so the text
         // agrees with the exit decision.
-        print!("{}", report.render_text(gd_lint::Severity::Warning));
+        gd_bench::emit(&report.render_text(gd_lint::Severity::Warning));
     }
     if deny && report.deny() {
         eprintln!(

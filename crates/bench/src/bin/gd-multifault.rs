@@ -10,6 +10,6 @@ fn main() -> ExitCode {
         let result = gd_campaign::Engine::ephemeral()
             .run(&gd_campaign::CampaignSpec::multifault())
             .expect("campaign runs");
-        print!("{}", result.text);
+        gd_bench::emit(&result.text);
     })
 }

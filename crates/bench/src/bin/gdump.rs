@@ -12,6 +12,7 @@
 use std::process::ExitCode;
 
 use gd_backend::compile;
+use gd_bench::outln;
 use gd_ir::Module;
 use glitch_resistor::{harden, Config, Defenses};
 
@@ -50,10 +51,14 @@ fn dump(mut module: Module, which: &str, cfg: &str, defenses: Defenses) {
     harden(&mut module, &Config::new(defenses));
     let image = compile(&module, "main").expect("firmware lowers");
 
-    println!("; firmware `{which}` with defenses `{cfg}`");
-    println!(
+    outln!("; firmware `{which}` with defenses `{cfg}`");
+    outln!(
         "; text {} B, data {} B, bss {} B, shadow {} B, nvm {} B\n",
-        image.sizes.text, image.sizes.data, image.sizes.bss, image.sizes.shadow, image.sizes.nvm
+        image.sizes.text,
+        image.sizes.data,
+        image.sizes.bss,
+        image.sizes.shadow,
+        image.sizes.nvm
     );
     // Function symbols sorted by address for annotation.
     let mut funcs: Vec<(&String, &u32)> = image
@@ -66,15 +71,15 @@ fn dump(mut module: Module, which: &str, cfg: &str, defenses: Defenses) {
     for (off, text) in gd_thumb::fmt::disassemble(&image.text) {
         let addr = 0x0800_0000 + off;
         while idx < funcs.len() && *funcs[idx].1 == addr {
-            println!("\n{}:", funcs[idx].0);
+            outln!("\n{}:", funcs[idx].0);
             idx += 1;
         }
-        println!("  {addr:08x}:  {text}");
+        outln!("  {addr:08x}:  {text}");
     }
-    println!("\n; globals");
+    outln!("\n; globals");
     for (name, addr) in &image.symbols {
         if *addr >= 0x2000_0000 || (0x0800_F000..0x0801_0000).contains(addr) {
-            println!(";   {addr:08x}  {name}");
+            outln!(";   {addr:08x}  {name}");
         }
     }
 }

@@ -4,6 +4,7 @@
 
 use std::process::ExitCode;
 
+use gd_bench::outln;
 use gd_chipwhisperer::{
     find_reliable_params, targets, AttackSpec, Device, FaultModel, SuccessCheck,
 };
@@ -15,19 +16,22 @@ fn regenerate() {
         ("while(a) [val != 0]", targets::WHILE_A),
         ("while(a!=0xD3B9AEC6)", targets::WHILE_A_NE_CONST),
     ] {
-        gd_bench::report::heading(&format!("§V-B parameter search — {name}"));
+        gd_bench::emit(&gd_bench::report::heading_str(&format!("§V-B parameter search — {name}")));
         let dev = Device::from_asm(src).expect("target assembles");
         let report = find_reliable_params(&dev, &model, &spec, 10);
-        println!("attempts:   {}", report.attempts);
-        println!("successes:  {}", report.successes);
+        outln!("attempts:   {}", report.attempts);
+        outln!("successes:  {}", report.successes);
         match report.found {
-            Some(p) => println!(
+            Some(p) => outln!(
                 "found:      cycle {} width {} offset {} (verified {}/10)",
-                p.ext_offset, p.width, p.offset, report.verified
+                p.ext_offset,
+                p.width,
+                p.offset,
+                report.verified
             ),
-            None => println!("found:      none"),
+            None => outln!("found:      none"),
         }
-        println!("bench time: {:.1} minutes (at 95 ms/attempt)", report.minutes());
+        outln!("bench time: {:.1} minutes (at 95 ms/attempt)", report.minutes());
     }
 }
 

@@ -9,6 +9,6 @@ fn main() -> ExitCode {
         let result = gd_campaign::Engine::ephemeral()
             .run(&gd_campaign::CampaignSpec::table2())
             .expect("campaign runs");
-        print!("{}", result.text);
+        gd_bench::emit(&result.text);
     })
 }

@@ -5,6 +5,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     gd_bench::artifact_main(|| {
         let rows = gd_bench::overhead::table4();
-        gd_bench::overhead::print_table4(&rows);
+        gd_bench::emit(&gd_bench::overhead::render_table4(&rows));
     })
 }

@@ -5,6 +5,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     gd_bench::artifact_main(|| {
         let rows = gd_bench::overhead::table5();
-        gd_bench::overhead::print_table5(&rows);
+        gd_bench::emit(&gd_bench::overhead::render_table5(&rows));
     })
 }

@@ -3,14 +3,17 @@
 
 use std::process::ExitCode;
 
+use gd_bench::outln;
 use glitch_resistor::related;
 
 fn main() -> ExitCode {
     gd_bench::artifact_main(|| {
-        gd_bench::report::heading("Table VII — software-based defense comparison");
-        println!("{}", related::TABLE_HEADER);
+        gd_bench::emit(&gd_bench::report::heading_str(
+            "Table VII — software-based defense comparison",
+        ));
+        outln!("{}", related::TABLE_HEADER);
         for row in related::comparison() {
-            println!("{row}");
+            outln!("{row}");
         }
     })
 }

@@ -34,12 +34,39 @@ pub mod overhead;
 pub mod timing;
 pub mod trajectory;
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
+/// Writes `text` to stdout: the one print path of every binary in this
+/// crate. A reader that went away early (`table4 | head -1`) ends the
+/// process quietly with exit 0, as a pipeline stage should; any other
+/// write error ends it with exit 1 and a message.
+pub fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`emit`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::emit("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The entry point of an experiment binary that takes no arguments:
-/// `regenerate` prints the artifact to stdout. Any argument is a usage
-/// error, so a flag left over in an old script fails loudly instead of
-/// printing the artifact and exiting 0.
+/// `regenerate` prints the artifact through [`emit`]. Any argument is a
+/// usage error, so a flag left over in an old script fails loudly
+/// instead of printing the artifact and exiting 0.
 pub fn artifact_main(regenerate: impl FnOnce()) -> ExitCode {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();

@@ -1,6 +1,8 @@
 //! Tables IV and V: run-time (boot cycles) and size overhead of each
 //! defense on the CubeMX-style boot firmware.
 
+use std::fmt::Write as _;
+
 use gd_backend::{compile, SectionSizes};
 use gd_chipwhisperer::Device;
 use gd_emu::StopReason;
@@ -96,24 +98,29 @@ pub fn table4() -> Vec<Table4Row> {
     configurations().into_iter().map(|(name, d)| Table4Row { name, ..measure_boot(d) }).collect()
 }
 
-/// Prints Table IV in the paper's layout.
-pub fn print_table4(rows: &[Table4Row]) {
-    crate::report::heading("Table IV — boot-time overhead (clock cycles)");
+/// Renders Table IV in the paper's layout.
+pub fn render_table4(rows: &[Table4Row]) -> String {
+    let mut out = crate::report::heading_str("Table IV — boot-time overhead (clock cycles)");
     let base = rows[0].cycles;
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>12} {:>12} {:>12} {:>12}",
         "Defense", "Cycles", "% Increase", "Constant", "% Adjusted"
-    );
+    )
+    .unwrap();
     for r in rows {
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>12} {:>11.2}% {:>12} {:>11.2}%",
             r.name,
             r.cycles,
             r.increase(base),
             r.constant,
             r.adjusted(base)
-        );
+        )
+        .unwrap();
     }
+    out
 }
 
 /// One Table V row.
@@ -133,10 +140,10 @@ pub fn table5() -> Vec<Table5Row> {
         .collect()
 }
 
-/// Prints Table V in the paper's layout (with the reproduction's extra
+/// Renders Table V in the paper's layout (with the reproduction's extra
 /// shadow/nvm sections listed explicitly).
-pub fn print_table5(rows: &[Table5Row]) {
-    crate::report::heading("Table V — size overhead (bytes)");
+pub fn render_table5(rows: &[Table5Row]) -> String {
+    let mut out = crate::report::heading_str("Table V — size overhead (bytes)");
     let base = rows[0].sizes;
     let pct = |v: u32, b: u32| {
         if b == 0 {
@@ -145,13 +152,16 @@ pub fn print_table5(rows: &[Table5Row]) {
             100.0 * (f64::from(v) - f64::from(b)) / f64::from(b)
         }
     };
-    println!(
+    writeln!(
+        out,
         "{:<10} {:>7} {:>8} {:>6} {:>8} {:>6} {:>7} {:>6} {:>7} {:>8}",
         "Defense", "text", "text%", "data", "data%", "bss", "shadow", "nvm", "total", "total%"
-    );
+    )
+    .unwrap();
     for r in rows {
         let s = r.sizes;
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>7} {:>7.2}% {:>6} {:>7.2}% {:>6} {:>7} {:>6} {:>7} {:>7.2}%",
             r.name,
             s.text,
@@ -163,8 +173,10 @@ pub fn print_table5(rows: &[Table5Row]) {
             s.nvm,
             s.total(),
             pct(s.total(), base.total()),
-        );
+        )
+        .unwrap();
     }
+    out
 }
 
 #[cfg(test)]

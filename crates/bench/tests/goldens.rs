@@ -12,7 +12,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// The committed golden file for one artifact (`results/<name>`).
 fn golden_path(name: &str) -> PathBuf {
@@ -98,7 +98,6 @@ fn check(rows: &[Row]) {
             let output = Command::new(exe)
                 .args(args)
                 .env("GD_THREADS", threads)
-                .env_remove("GD_CHAOS")
                 .output()
                 .unwrap_or_else(|e| panic!("{run}: {e}"));
             if !output.status.success() {
@@ -141,6 +140,28 @@ fn a_stale_check_flag_fails_loudly() {
         assert!(output.stdout.is_empty(), "{exe} --check printed to stdout");
         assert!(!output.stderr.is_empty(), "{exe} --check explained nothing on stderr");
     }
+}
+
+/// A reader that closes early (`table4 | head -1`) ends a binary quietly:
+/// exit 0 and no panic, however much output is left unwritten.
+#[test]
+fn a_closed_stdout_ends_every_binary_quietly() {
+    let mut failures = Vec::new();
+    for &(exe, args, _) in CHEAP {
+        let mut child = Command::new(exe)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        if !output.status.success() || stderr.contains("panicked") {
+            failures.push(format!("{exe} {}: {}\n{stderr}", args.join(" "), output.status));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
 
 #[test]

@@ -203,11 +203,6 @@ pub fn render_table6(blocks: &[Table6Block]) -> String {
     blocks.iter().map(render_table6_block).collect()
 }
 
-/// Prints Table VI (legacy CLI surface over [`render_table6`]).
-pub fn print_table6(blocks: &[Table6Block]) {
-    print!("{}", render_table6(blocks));
-}
-
 /// The unprotected baseline for the same targets (contextual row).
 pub fn unprotected_cell(module: &Module, model: &FaultModel, attack: Attack) -> DefenseCell {
     let image = compile(module, "main").expect("firmware lowers");

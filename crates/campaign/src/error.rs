@@ -1,13 +1,7 @@
 //! Typed campaign failures — the engine's failure taxonomy.
 //!
-//! The engine retries transient faults internally (shard panics are
-//! quarantined and retried with backoff, torn or corrupt store files
-//! are recomputed, an aborted fan-out is resubmitted), so a
-//! [`CampaignError`] is what remains *after* self-healing gave up. The
-//! taxonomy still matters to callers deciding whether to resubmit:
-//! [`CampaignError::retryable`] splits deterministic failures (an
-//! invalid spec will never validate) from environmental ones (a full
-//! disk may empty, a fault schedule may roll differently).
+//! Torn or corrupt store files are recomputed inside the engine, so a
+//! [`CampaignError`] is a failure the engine could not work around.
 
 /// Why a campaign failed. `Display` renders the operator-facing
 /// message (the service serves it verbatim in `409` bodies).
@@ -22,43 +16,17 @@ pub enum CampaignError {
     Store(String),
     /// The merged shard results could not be rendered into the report.
     Render(String),
-    /// One shard exhausted its retry budget: every attempt panicked.
-    /// Carries everything an operator needs to triage without a core
-    /// dump: which shard, what it was doing, how often it was tried,
-    /// and the final panic message.
+    /// A shard panicked. Carries everything an operator needs to triage
+    /// without a core dump: which shard, what it was doing, and the
+    /// panic message.
     ShardFailed {
         /// Plan index of the failing shard.
         shard: u32,
         /// The shard's human-readable work label.
         label: String,
-        /// Attempts made before giving up (the configured budget).
-        attempts: u32,
-        /// Panic message of the last attempt.
+        /// The panic message.
         cause: String,
     },
-    /// The executor fan-out itself aborted repeatedly without a single
-    /// new shard completing — worker-level panics struck faster than
-    /// progress could be made.
-    FanoutFailed {
-        /// Consecutive progress-free fan-out passes before giving up.
-        attempts: u32,
-        /// Panic message of the last aborted pass.
-        cause: String,
-    },
-}
-
-impl CampaignError {
-    /// Whether resubmitting the identical campaign could plausibly
-    /// succeed. Spec and render failures are deterministic (fatal);
-    /// store and execution failures depend on the environment.
-    pub fn retryable(&self) -> bool {
-        match self {
-            CampaignError::Invalid(_) | CampaignError::Render(_) => false,
-            CampaignError::Store(_)
-            | CampaignError::ShardFailed { .. }
-            | CampaignError::FanoutFailed { .. } => true,
-        }
-    }
 }
 
 impl std::fmt::Display for CampaignError {
@@ -67,11 +35,8 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Invalid(m) | CampaignError::Store(m) | CampaignError::Render(m) => {
                 f.write_str(m)
             }
-            CampaignError::ShardFailed { shard, label, attempts, cause } => {
-                write!(f, "shard {shard} ({label}) failed after {attempts} attempts: {cause}")
-            }
-            CampaignError::FanoutFailed { attempts, cause } => {
-                write!(f, "shard fan-out aborted {attempts} times without progress: {cause}")
+            CampaignError::ShardFailed { shard, label, cause } => {
+                write!(f, "shard {shard} ({label}) panicked: {cause}")
             }
         }
     }
@@ -96,29 +61,9 @@ mod tests {
         let e = CampaignError::ShardFailed {
             shard: 17,
             label: "table1 vdd=3 width=5".into(),
-            attempts: 5,
-            cause: "gd-chaos: injected shard panic".into(),
+            cause: "index out of bounds".into(),
         };
-        let msg = e.to_string();
-        assert!(msg.contains("shard 17"), "{msg}");
-        assert!(msg.contains("after 5 attempts"), "{msg}");
-        assert!(msg.contains("injected shard panic"), "{msg}");
-        assert!(msg.contains("table1 vdd=3 width=5"), "{msg}");
-    }
-
-    #[test]
-    fn taxonomy_splits_retryable_from_fatal() {
-        assert!(!CampaignError::Invalid("bad spec".into()).retryable());
-        assert!(!CampaignError::Render("merge hole".into()).retryable());
-        assert!(CampaignError::Store("disk full".into()).retryable());
-        assert!(CampaignError::FanoutFailed { attempts: 3, cause: "x".into() }.retryable());
-        let shard = CampaignError::ShardFailed {
-            shard: 0,
-            label: "l".into(),
-            attempts: 1,
-            cause: "c".into(),
-        };
-        assert!(shard.retryable());
+        assert_eq!(e.to_string(), "shard 17 (table1 vdd=3 width=5) panicked: index out of bounds");
     }
 
     #[test]

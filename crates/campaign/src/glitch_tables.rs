@@ -113,11 +113,6 @@ pub fn render_table1_row(row: &Table1Row, annotations: &[String]) -> String {
     out
 }
 
-/// Prints a Table I row (legacy CLI surface over [`render_table1_row`]).
-pub fn print_table1_row(row: &Table1Row, annotations: &[String]) {
-    print!("{}", render_table1_row(row, annotations));
-}
-
 /// Table II: multi-glitch (two identical back-to-back loops).
 pub struct Table2Row {
     /// Guard name.
@@ -189,11 +184,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     out
 }
 
-/// Prints Table II (legacy CLI surface over [`render_table2`]).
-pub fn print_table2(rows: &[Table2Row]) {
-    print!("{}", render_table2(rows));
-}
-
 /// Table III: long glitches (0..N contiguous cycles) against the doubled
 /// guards.
 pub struct Table3Row {
@@ -245,9 +235,4 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
     }
     writeln!(out).unwrap();
     out
-}
-
-/// Prints Table III (legacy CLI surface over [`render_table3`]).
-pub fn print_table3(rows: &[Table3Row]) {
-    print!("{}", render_table3(rows));
 }

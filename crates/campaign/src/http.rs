@@ -29,6 +29,9 @@ pub const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(30);
 /// send, and the whole response read.
 pub const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Header name/value pairs, names lowercased.
+pub type Headers = Vec<(String, String)>;
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -39,7 +42,7 @@ pub struct Request {
     /// Raw query string after `?`, or empty.
     pub query: String,
     /// Header name/value pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     /// Request body (empty unless `Content-Length` was given).
     pub body: Vec<u8>,
 }
@@ -291,7 +294,7 @@ pub fn request_timeout(
 }
 
 /// [`request_timeout`], additionally returning the response headers
-/// (names lowercased) — the retrying client needs `Retry-After`.
+/// (names lowercased), such as `Retry-After` on a `429`.
 ///
 /// # Errors
 ///
@@ -302,7 +305,7 @@ pub fn request_timeout_full(
     path: &str,
     body: Option<&str>,
     timeout: Duration,
-) -> Result<(u16, Vec<(String, String)>, String), String> {
+) -> Result<(u16, Headers, String), String> {
     let deadline = Instant::now() + timeout;
     let sock_addr = addr
         .to_socket_addrs()
@@ -338,7 +341,7 @@ pub fn request_timeout_full(
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line {status_line:?}"))?;
     let mut content_length: Option<usize> = None;
-    let mut headers: Vec<(String, String)> = Vec::new();
+    let mut headers = Headers::new();
     loop {
         let mut line = String::new();
         arm(reader.get_ref(), "awaiting headers")?;
@@ -370,149 +373,6 @@ pub fn request_timeout_full(
         }
     };
     Ok((status, headers, String::from_utf8_lossy(&body).into_owned()))
-}
-
-/// Ceiling on how long the retrying client honors a `Retry-After` hint
-/// — a hostile or confused server must not park a client for an hour.
-pub const RETRY_AFTER_CAP: Duration = Duration::from_secs(2);
-
-/// Backoff between retries when the server gave no `Retry-After` (grows
-/// linearly with the attempt number).
-const CLIENT_RETRY_STEP: Duration = Duration::from_millis(50);
-
-/// Why [`request_with_retries`] gave up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientError {
-    /// The overall `budget` elapsed before any attempt succeeded — a
-    /// persistently 429ing (or silent) server cannot park the client
-    /// past its own deadline.
-    TimedOut {
-        /// Attempts actually started before the budget ran out.
-        attempts: u32,
-        /// The overall wall-time budget that elapsed.
-        budget: Duration,
-        /// The last failure seen (transport error or `429` body).
-        last: String,
-    },
-    /// Every attempt failed on transport before the budget elapsed.
-    Exhausted {
-        /// The attempt budget that was spent.
-        attempts: u32,
-        /// The last transport error.
-        last: String,
-    },
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::TimedOut { attempts, budget, last } => write!(
-                f,
-                "request timed out: {budget:?} budget spent over {attempts} attempts \
-                 (last failure: {last})"
-            ),
-            ClientError::Exhausted { attempts, last } => {
-                write!(f, "request failed after {attempts} attempts: {last}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<ClientError> for String {
-    fn from(e: ClientError) -> String {
-        e.to_string()
-    }
-}
-
-/// A client request that *retries*: transport errors (connection
-/// refused or dropped mid-response, timeouts) and `429` responses are
-/// retried up to `attempts` total tries. On a `429` the server's
-/// `Retry-After` header sets the pause (capped at [`RETRY_AFTER_CAP`]);
-/// everything else backs off linearly. Any other status — including
-/// errors like `400` or `409`, which retrying cannot cure — returns on
-/// first sight.
-///
-/// `budget` caps **total wall time** across every attempt and every
-/// pause, not just each attempt's read: a persistently 429ing server
-/// once kept this loop alive for `attempts × Retry-After`, which for a
-/// patient caller was effectively forever. Now each attempt gets the
-/// *remaining* budget as its own deadline, pauses are clamped to fit,
-/// and when the budget runs dry the caller gets a typed
-/// [`ClientError::TimedOut`].
-///
-/// A final-attempt `429` still returns `Ok((429, body))` — the server
-/// answered; running out of patience with its answer is the caller's
-/// decision — whereas running out of *time* is [`ClientError::TimedOut`].
-///
-/// # Errors
-///
-/// [`ClientError::TimedOut`] when `budget` elapses first,
-/// [`ClientError::Exhausted`] with the last transport error once all
-/// attempts are spent inside the budget.
-pub fn request_with_retries(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    attempts: u32,
-    budget: Duration,
-) -> Result<(u16, String), ClientError> {
-    assert!(attempts >= 1, "a request needs at least one attempt");
-    let deadline = Instant::now() + budget;
-    let mut last = String::from("no attempt started");
-    let timed_out = |started: u32, last: &str| ClientError::TimedOut {
-        attempts: started,
-        budget,
-        last: last.to_owned(),
-    };
-    for attempt in 1..=attempts {
-        let Some(remaining) =
-            deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
-        else {
-            return Err(timed_out(attempt - 1, &last));
-        };
-        match request_timeout_full(addr, method, path, body, remaining) {
-            Ok((429, headers, resp_body)) => {
-                if attempt == attempts {
-                    return Ok((429, resp_body));
-                }
-                last = format!("server answered 429: {resp_body}");
-                let hinted = headers
-                    .iter()
-                    .find(|(k, _)| k == "retry-after")
-                    .and_then(|(_, v)| v.parse::<u64>().ok())
-                    .map(Duration::from_secs)
-                    .unwrap_or(CLIENT_RETRY_STEP);
-                let pause = hinted.clamp(Duration::from_millis(20), RETRY_AFTER_CAP);
-                // A pause that would outlive the budget is pointless:
-                // fail now instead of waking up past the deadline.
-                let Some(room) = deadline.checked_duration_since(Instant::now()) else {
-                    return Err(timed_out(attempt, &last));
-                };
-                if pause >= room {
-                    return Err(timed_out(attempt, &last));
-                }
-                std::thread::sleep(pause);
-            }
-            Ok((status, _, resp_body)) => return Ok((status, resp_body)),
-            Err(e) => {
-                last = e;
-                if attempt < attempts {
-                    let pause = CLIENT_RETRY_STEP.saturating_mul(attempt);
-                    let Some(room) = deadline.checked_duration_since(Instant::now()) else {
-                        return Err(timed_out(attempt, &last));
-                    };
-                    if pause >= room {
-                        return Err(timed_out(attempt, &last));
-                    }
-                    std::thread::sleep(pause);
-                }
-            }
-        }
-    }
-    Err(ClientError::Exhausted { attempts, last })
 }
 
 #[cfg(test)]
@@ -626,96 +486,6 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(1));
         drop(stream);
         dribbler.join().unwrap();
-    }
-
-    /// The parked-client regression: pre-fix, `request_with_retries`
-    /// bounded only each attempt and each `Retry-After` pause, so a
-    /// persistently 429ing server held a patient caller for
-    /// `attempts × Retry-After` — with `attempts=1000` that is half an
-    /// hour. The budget is now total wall time, and running out of it
-    /// is a typed `TimedOut`, distinct from exhausting attempts.
-    #[test]
-    fn a_persistently_429ing_server_cannot_outlive_the_total_budget() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            // Far more 429s on offer than the budget allows attempts.
-            for _ in 0..1000 {
-                let Ok((mut stream, _)) = listener.accept() else { return };
-                if read_request(&mut stream).is_err() {
-                    return;
-                }
-                let done = write_response_with(
-                    &mut stream,
-                    429,
-                    "application/json",
-                    &[("Retry-After", "1")],
-                    b"{\"error\":\"queue full\"}",
-                )
-                .is_err();
-                if done {
-                    return;
-                }
-            }
-        });
-        let started = Instant::now();
-        let err = request_with_retries(
-            &addr,
-            "POST",
-            "/campaigns",
-            Some("{}"),
-            1000,
-            Duration::from_millis(300),
-        )
-        .unwrap_err();
-        let elapsed = started.elapsed();
-        assert!(
-            matches!(err, ClientError::TimedOut { .. }),
-            "budget expiry is typed, not a transport error: {err:?}"
-        );
-        assert!(err.to_string().contains("timed out"), "{err}");
-        assert!(err.to_string().contains("429"), "the last failure is named: {err}");
-        assert!(
-            elapsed < Duration::from_secs(3),
-            "the budget bounds the loop (took {elapsed:?}; the hinted pauses alone were 1000 s)"
-        );
-        // Unblock and reap the server thread.
-        drop(TcpStream::connect(&addr));
-        server.join().unwrap();
-    }
-
-    /// A final-attempt 429 inside the budget is still an *answer*:
-    /// `Ok((429, body))`, not an error — only time expiry is `TimedOut`.
-    #[test]
-    fn attempts_exhausting_inside_the_budget_return_the_last_429() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut stream, _) = listener.accept().unwrap();
-                read_request(&mut stream).unwrap();
-                write_response_with(
-                    &mut stream,
-                    429,
-                    "application/json",
-                    &[("Retry-After", "0")],
-                    b"{\"error\":\"still full\"}",
-                )
-                .unwrap();
-            }
-        });
-        let (status, body) = request_with_retries(
-            &addr,
-            "POST",
-            "/campaigns",
-            Some("{}"),
-            2,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        assert_eq!(status, 429);
-        assert!(body.contains("still full"), "{body}");
-        server.join().unwrap();
     }
 
     /// The hung-shutdown regression: pre-fix, the client set no

@@ -107,11 +107,7 @@ pub fn registry_json() -> Json {
 }
 
 fn milli(part: u64, whole: u64) -> u64 {
-    if whole == 0 {
-        0
-    } else {
-        part * 1000 / whole
-    }
+    (part * 1000).checked_div(whole).unwrap_or(0)
 }
 
 fn percent_milli(part: u64, whole: u64) -> String {
@@ -152,7 +148,7 @@ pub fn render_multifault(shards: &[(ShardWork, ShardResult)]) -> Result<String, 
         };
         match work {
             ShardWork::MultifaultModel { model } => {
-                models[*model] = Some((tally.clone(), enumerated, pruned, simulated));
+                models[*model] = Some((*tally, enumerated, pruned, simulated));
             }
             ShardWork::MultifaultPairs { .. } => {
                 pairs.0.merge(tally);

@@ -1,9 +1,8 @@
 //! Small helpers for rendering experiment tables.
 //!
 //! Every table renderer in this crate builds a `String` (so results can
-//! be served over HTTP, cached, and diffed against golden files); the
-//! `print_*` siblings used by the CLI binaries just print the rendered
-//! text. Formatting is pinned by the committed `results/*.txt` files —
+//! be served over HTTP, cached, and diffed against golden files).
+//! Formatting is pinned by the committed `results/*.txt` files —
 //! change nothing here without regenerating them.
 
 /// Formats a rate as a percentage with the paper's precision.
@@ -25,16 +24,6 @@ pub fn rule_str(width: usize) -> String {
 pub fn heading_str(text: &str) -> String {
     let r = rule_str(text.len().max(60));
     format!("\n{r}{text}\n{r}")
-}
-
-/// Prints a horizontal rule sized to `width`.
-pub fn rule(width: usize) {
-    print!("{}", rule_str(width));
-}
-
-/// Prints a heading with rules.
-pub fn heading(text: &str) {
-    print!("{}", heading_str(text));
 }
 
 #[cfg(test)]

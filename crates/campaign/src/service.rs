@@ -329,7 +329,6 @@ fn worker_loop(inner: &Inner) {
                         "campaign failed",
                         id = id,
                         elapsed_ms = elapsed_ms,
-                        retryable = e.retryable(),
                         error = e,
                     );
                     job.state = JobState::Failed(e.to_string());
@@ -356,14 +355,6 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
                 continue;
             }
         };
-        // Chaos connection sites: a dropped connection models a client
-        // (or middlebox) hanging up before the request is read; a read
-        // delay models a slow network. Clients must survive both.
-        if gd_chaos::connection_dropped() {
-            drop(stream);
-            continue;
-        }
-        gd_chaos::delay_read();
         // A stalled reader must not wedge response writes either.
         let _ = stream.set_write_timeout(Some(inner.read_deadline));
         match read_request_deadline(&mut stream, inner.read_deadline) {
@@ -378,7 +369,7 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
                     status = status,
                 );
                 // A queue-full rejection tells the client *when* to come
-                // back; the built-in client honors it (`request_with_retries`).
+                // back.
                 let extra: &[(&str, &str)] =
                     if status == 429 { &[("Retry-After", RETRY_AFTER_SECS)] } else { &[] };
                 let _ = write_response_with(&mut stream, status, &content_type, extra, &body);

@@ -526,11 +526,13 @@ fn render_table1(shards: &[(ShardWork, ShardResult)], cycles_hi: u32) -> Result<
     Ok(out)
 }
 
+/// One row per doubled guard: its index, its name, and its cells by
+/// position.
+type GuardRows<T> = Vec<(usize, &'static str, Vec<(u32, T)>)>;
+
 /// Keeps, per present guard column, only the row positions every column
 /// completed — the columnar tables print one line per shared position.
-fn rectangular<T: Clone>(
-    rows: Vec<(usize, &'static str, Vec<(u32, T)>)>,
-) -> Vec<(&'static str, Vec<(u32, T)>)> {
+fn rectangular<T: Clone>(rows: GuardRows<T>) -> Vec<(&'static str, Vec<(u32, T)>)> {
     let present: Vec<_> = rows.into_iter().filter(|(_, _, cells)| !cells.is_empty()).collect();
     let mut shared: Vec<u32> = match present.first() {
         None => return Vec::new(),
@@ -550,7 +552,7 @@ fn rectangular<T: Clone>(
 
 fn render_table2(shards: &[(ShardWork, ShardResult)]) -> Result<String, String> {
     let guards = doubled_guards();
-    let mut rows: Vec<(usize, &'static str, Vec<(u32, MultiCell)>)> =
+    let mut rows: GuardRows<MultiCell> =
         guards.iter().enumerate().map(|(i, (name, _))| (i, *name, Vec::new())).collect();
     for (work, result) in shards {
         match (work, result) {
@@ -570,7 +572,7 @@ fn render_table2(shards: &[(ShardWork, ShardResult)]) -> Result<String, String> 
 
 fn render_table3(shards: &[(ShardWork, ShardResult)]) -> Result<String, String> {
     let guards = doubled_guards();
-    let mut rows: Vec<(usize, &'static str, Vec<(u32, CellCounts)>)> =
+    let mut rows: GuardRows<CellCounts> =
         guards.iter().enumerate().map(|(i, (name, _))| (i, *name, Vec::new())).collect();
     for (work, result) in shards {
         match (work, result) {

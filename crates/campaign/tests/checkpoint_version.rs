@@ -6,6 +6,7 @@
 //! moves only with its own engine runs.
 
 use gd_campaign::engine::{Engine, RESULT_VERSION};
+use gd_campaign::hash::sha256_hex;
 use gd_campaign::spec::CampaignSpec;
 
 /// Value of a single-series metric in the current Prometheus rendering.
@@ -29,14 +30,15 @@ fn a_checkpoint_of_another_result_version_is_recomputed() {
     partial.shards = Some((0, 2));
     Engine::with_store(&store).run(&partial).unwrap();
 
-    // Rewrite shard 1's checkpoint as version 1. Unsealed files are read
-    // as plain JSON, so only the version check can turn it away.
+    // Rewrite shard 1's checkpoint as version 1 and seal it again, so
+    // only the version check can turn it away.
     let path = store.join("runs").join(spec.checkpoint_key().unwrap()).join("shard-00001.json");
     let sealed = std::fs::read_to_string(&path).unwrap();
     let body = sealed.split_once('\n').expect("a seal header").1;
     let current = format!("\"version\": {RESULT_VERSION}");
     assert!(body.contains(&current), "{body:.80}");
-    std::fs::write(&path, body.replacen(&current, "\"version\": 1", 1)).unwrap();
+    let old = body.replacen(&current, "\"version\": 1", 1);
+    std::fs::write(&path, format!("#gd-sha256:{}\n{old}", sha256_hex(old.as_bytes()))).unwrap();
 
     let loads = metric_value("gd_campaign_checkpoint_loads_total");
     let engine = Engine::with_store(&store);

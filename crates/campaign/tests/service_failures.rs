@@ -204,13 +204,8 @@ fn metrics_expose_cache_shard_and_duration_families() {
         "# TYPE gd_exec_chunks_executed_total counter",
         "# TYPE gd_exec_worker_busy_us_total counter",
         "# TYPE gd_exec_serial_fallbacks_total counter",
-        // The PR 4 self-healing families: present (at zero) even in a
-        // fault-free process, so dashboards never 404 on them.
-        "# TYPE gd_chaos_injected_total counter",
-        "# TYPE gd_campaign_shard_retries histogram",
-        "# TYPE gd_campaign_shards_quarantined_total counter",
-        "# TYPE gd_campaign_fanout_retries_total counter",
-        "# TYPE gd_campaign_watchdog_stalls_total counter",
+        // The store families: present (at zero) even in a process whose
+        // store was never damaged, so dashboards never 404 on them.
         "# TYPE gd_campaign_store_integrity_failures_total counter",
         "# TYPE gd_campaign_tmp_files_swept_total counter",
     ] {

@@ -466,21 +466,21 @@ pub fn lint_cfg(ctx: &FaultCtx<'_>) -> Vec<Finding> {
                     );
                 }
             }
-            Term::Call { .. } if ctx.guards.in_detect(site.addr) => {
-                if ctx.classify_skip(&site).dangerous() {
-                    findings.push(
-                        Finding::new(
-                            "GL0304",
-                            &func,
-                            &format!("+{off:#x}"),
-                            format!(
-                                "skipping this call bypasses the guard and opens a path to {}",
-                                ctx.sink.label,
-                            ),
-                        )
-                        .with_span(off, off + site.size),
-                    );
-                }
+            Term::Call { .. }
+                if ctx.guards.in_detect(site.addr) && ctx.classify_skip(&site).dangerous() =>
+            {
+                findings.push(
+                    Finding::new(
+                        "GL0304",
+                        &func,
+                        &format!("+{off:#x}"),
+                        format!(
+                            "skipping this call bypasses the guard and opens a path to {}",
+                            ctx.sink.label,
+                        ),
+                    )
+                    .with_span(off, off + site.size),
+                );
             }
             _ => {}
         }

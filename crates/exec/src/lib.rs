@@ -198,12 +198,7 @@ where
         let out = items
             .chunks(chunk_size)
             .enumerate()
-            .map(|(i, c)| {
-                // Chaos sites fire on the serial path too; the injected
-                // panic propagates to the caller like any chunk panic.
-                gd_chaos::chunk_started(i);
-                f(&Chunk { start: i * chunk_size, items: c })
-            })
+            .map(|(i, c)| f(&Chunk { start: i * chunk_size, items: c }))
             .collect();
         metrics.chunks.add(n_chunks as u64);
         metrics.busy_us.add(timer.elapsed_us());
@@ -239,13 +234,7 @@ where
                         let start = i * chunk_size;
                         let end = (start + chunk_size).min(items.len());
                         let chunk = Chunk { start, items: &items[start..end] };
-                        // `gd_chaos::chunk_started` sits inside the
-                        // catch region: an injected worker panic takes
-                        // exactly the path a real `f` panic would.
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            gd_chaos::chunk_started(i);
-                            f(&chunk)
-                        })) {
+                        match catch_unwind(AssertUnwindSafe(|| f(&chunk))) {
                             Ok(r) => {
                                 executed += 1;
                                 out.push((i, r));
@@ -504,7 +493,7 @@ mod tests {
         assert!(metrics.chunks.get() >= chunks0 + 8, "parallel chunks counted");
         // Serial fallback: one worker, same chunk count.
         let _ = with_threads(1, || par_map_chunks(&items, 8, |c| c.items.len()));
-        assert!(metrics.serial_fallbacks.get() >= serial0 + 1, "serial fallback counted");
+        assert!(metrics.serial_fallbacks.get() > serial0, "serial fallback counted");
         assert!(metrics.chunks.get() >= chunks0 + 16, "serial chunks counted too");
         // Busy-time is timing-dependent; the counter only has to exist
         // and be monotone (it may legitimately read 0 µs here).

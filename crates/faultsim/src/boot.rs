@@ -52,11 +52,7 @@ impl MfStats {
     /// Pruned fraction of the enumerated space, in milli-units
     /// (0..=1000) — integral so goldens and trajectories stay exact.
     pub fn pruned_ratio_milli(&self) -> u64 {
-        if self.enumerated == 0 {
-            0
-        } else {
-            self.pruned * 1000 / self.enumerated
-        }
+        (self.pruned * 1000).checked_div(self.enumerated).unwrap_or(0)
     }
 }
 

@@ -425,7 +425,7 @@ entry:
     assert!(names.contains(&"main"));
     assert!(names.contains(&"helper"));
     assert!(names.contains(&"__gr_udiv"), "div helper exported: {names:?}");
-    assert!(!names.iter().any(|n| *n == "udiv_go"), "internal labels are not extents");
+    assert!(!names.contains(&"udiv_go"), "internal labels are not extents");
 
     // helper uses a wide literal: its pool is non-empty and excluded from code.
     let helper = image.extent("helper").unwrap();

@@ -40,7 +40,7 @@ pub fn ingest_bin(bytes: &[u8], base: u32) -> Result<Ingested, IngestError> {
     }
     let end = base + bytes.len() as u32;
     let sp = word(bytes, 0).expect("length checked");
-    if sp == 0 || sp % 4 != 0 {
+    if sp == 0 || !sp.is_multiple_of(4) {
         return Err(IngestError::BadStackPointer { sp });
     }
     let reset = word(bytes, 1).expect("length checked");

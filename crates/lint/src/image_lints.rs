@@ -137,7 +137,7 @@ entry:
         assert!(decide.branches >= 1);
         assert!(decide.inverted >= decide.branches, "each branch has its inverse flip");
         assert!(
-            table.get("main").is_none() || table["main"].branches > 0,
+            !table.contains_key("main") || table["main"].branches > 0,
             "straight-line main has no row unless lowering branched"
         );
         // Locations resolve back through the symbol table.

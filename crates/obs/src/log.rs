@@ -107,7 +107,7 @@ impl Filter {
             }
         }
         // Longest prefix first, so the first match below is the winner.
-        filter.targets.sort_by(|a, b| b.0.len().cmp(&a.0.len()));
+        filter.targets.sort_by_key(|t| std::cmp::Reverse(t.0.len()));
         filter
     }
 

@@ -219,7 +219,7 @@ fn pipeline_survives_byte_soup_with_faults() {
         let mut i = 0usize;
         let _ = pipe.run_with(2_000, |_| {
             i = (i + 1) % masks.len();
-            if i % 3 == 0 {
+            if i.is_multiple_of(3) {
                 vec![gd_pipeline::StageFault::CorruptExec { and_mask: masks[i] }]
             } else {
                 Vec::new()

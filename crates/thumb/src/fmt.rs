@@ -161,10 +161,10 @@ pub fn disassemble_wide(code: &[u8]) -> Vec<(u32, String)> {
     disassemble_with(code, crate::decode::decode_bytes_wide)
 }
 
-fn disassemble_with(
-    code: &[u8],
-    decode: fn(&[u8]) -> Result<(Instr, u32), crate::DecodeError>,
-) -> Vec<(u32, String)> {
+/// A decoder over a byte slice: the instruction and its size in bytes.
+type Decoder = fn(&[u8]) -> Result<(Instr, u32), crate::DecodeError>;
+
+fn disassemble_with(code: &[u8], decode: Decoder) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     let mut offset = 0usize;
     while offset + 1 < code.len() {

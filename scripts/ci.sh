@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 gate: formatting, a warnings-denied release build, the full
-# workspace test suite, and the golden manifest, all offline. The
+# Tier-1 gate: formatting, clippy, a warnings-denied release build, the
+# full workspace test suite, and the golden manifest, all offline. The
 # workspace has zero external dependencies, so this runs on a machine
 # with no network and no registry cache.
 set -eu
@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Every crate declares `#![warn(clippy::all)]`; this keeps the
+# workspace, tests included, at zero clippy warnings.
+echo "==> cargo clippy --workspace --all-targets (-D warnings)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release --offline (RUSTFLAGS=-Dwarnings)"
 RUSTFLAGS=-Dwarnings cargo build --release --offline
@@ -89,18 +94,5 @@ cargo test --release --offline -q -p gd-campaign --test e2e_http
 # id only), and the cache/shard/duration metric families on /metrics.
 echo "==> service failure paths + metrics families"
 cargo test --release --offline -q -p gd-campaign --test service_failures
-
-# Self-healing smoke test: Table I under a fixed deterministic fault
-# schedule (shard panics, torn/dropped/corrupted store I/O, a whisper of
-# worker-level panics — those compound across every nested sweep chunk,
-# so their rate stays tiny). Every surviving run must be byte-identical
-# to the committed golden. The chaos subcommand exits nonzero on any
-# divergence or if no run survives.
-echo "==> chaos smoke (Table I under a fault schedule, diffed against the golden)"
-rm -rf target/chaos-smoke-store
-./target/release/gd-campaign chaos table1 \
-    --schedule '7:engine.shard_panic=0.1,store.torn_write=0.3,store.read_err=0.3,store.corrupt=0.3,exec.worker_panic=0.0005' \
-    --runs 2 --store target/chaos-smoke-store --golden results/table1.txt
-rm -rf target/chaos-smoke-store
 
 echo "==> OK"
