@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use gd_backend::compile;
 use gd_bench::outln;
 use gd_chipwhisperer::{
-    run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams, SuccessCheck,
+    AttackOutcome, AttackSpec, AttemptRunner, Device, FaultModel, GlitchParams, SuccessCheck,
 };
 use gd_firmware::SUCCESS_MARKER;
 use glitch_resistor::{harden, Config, Defenses};
@@ -22,6 +22,7 @@ fn campaign(device: &Device, model: &FaultModel) -> (u64, u64, u64, u64) {
     let spec = AttackSpec { success: SuccessCheck::HaltWithR0(SUCCESS_MARKER), max_cycles: budget };
 
     let (mut total, mut successes, mut detections, mut crashes) = (0u64, 0u64, 0u64, 0u64);
+    let mut runner = AttemptRunner::new(device);
     let mut nvm: Vec<u8> = Vec::new();
     let mut boot = 0u64;
     for cycle in 0..44u32 {
@@ -33,15 +34,14 @@ fn campaign(device: &Device, model: &FaultModel) -> (u64, u64, u64, u64) {
                     continue;
                 }
                 total += 1;
-                let attempt = run_attack(
-                    device,
+                let outcome = runner.run(
                     model,
                     GlitchParams::single(cycle, w, o),
                     boot,
                     &spec,
                     Some(&mut nvm),
                 );
-                match attempt.outcome {
+                match outcome {
                     AttackOutcome::Success => successes += 1,
                     AttackOutcome::Detected => detections += 1,
                     AttackOutcome::Crash | AttackOutcome::Reset => crashes += 1,

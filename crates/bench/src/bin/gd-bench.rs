@@ -30,8 +30,7 @@ use gd_chipwhisperer::{scan_cell, scan_grid_serial, targets, Device, FaultModel}
 use gd_emu::Config;
 use gd_glitch_emu::masks::ChooseBits;
 use gd_glitch_emu::{
-    all_branch_cases, run_perturbed, sweep_case_with, sweep_k_serial, Direction, PerturbRunner,
-    Tally,
+    all_branch_cases, run_perturbed, sweep_case, sweep_k_serial, Direction, PerturbRunner, Tally,
 };
 
 /// Repo-root path of one trajectory file.
@@ -55,7 +54,7 @@ fn print_measurement(m: &Measurement) {
 /// Figure 2 hot path: one perturbed trial of the first branch case, the
 /// exhaustive AND-panel sweep — all 14 cases × 2^16 masks — and the
 /// OR-panel sweep of the first case, each interpreter vs predecoded; and
-/// the AND panel through `sweep_case_with`, which runs each distinct
+/// the AND panel through `sweep_case`, which runs each distinct
 /// perturbed halfword once (`sweep/memo` vs `sweep/predecoded`, one
 /// trial per mask).
 ///
@@ -88,12 +87,12 @@ fn bench_fig2(h: &Harness) -> Json {
         tally
     }));
     stages.push(h.measure("sweep/predecoded", || {
-        // The image builds are inside the closure: a real sweep pays one
+        // The runner builds are inside the closure: a real sweep pays one
         // per case, so the measured time amortizes them honestly.
         let mut tally = Tally::default();
         for case in &cases {
             let hw = case.target_halfword();
-            let mut runner = PerturbRunner::with_image(case, cfg, case.predecode(cfg));
+            let mut runner = PerturbRunner::new(case, cfg);
             for k in 0..=16 {
                 for mask in ChooseBits::new(16, k) {
                     tally.record(runner.run(direction.apply(hw, mask as u16)));
@@ -104,7 +103,7 @@ fn bench_fig2(h: &Harness) -> Json {
     }));
     stages.push(h.measure("sweep/memo", || {
         gd_exec::with_threads(1, || {
-            let sweep = |case| sweep_case_with(case, &case.predecode(cfg), direction, cfg);
+            let sweep = |case| sweep_case(case, direction, cfg);
             cases.iter().map(sweep).collect::<Vec<_>>()
         })
     }));
@@ -118,7 +117,7 @@ fn bench_fig2(h: &Harness) -> Json {
     stages.push(h.measure("sweep_or/predecoded", || {
         let hw = one_case.target_halfword();
         let mut tally = Tally::default();
-        let mut runner = PerturbRunner::with_image(one_case, cfg, one_case.predecode(cfg));
+        let mut runner = PerturbRunner::new(one_case, cfg);
         for k in 0..=16 {
             for mask in ChooseBits::new(16, k) {
                 tally.record(runner.run(Direction::Or.apply(hw, mask as u16)));

@@ -60,14 +60,6 @@ pub fn panel(label: &'static str, direction: Direction, cfg: Config, conds: &[Co
     Panel { label, sweeps }
 }
 
-/// The published panels over all fourteen branches, plus the XOR model the
-/// paper ran but omitted from the figure ("the results were in between
-/// those of and and or").
-pub fn run_all() -> Vec<Panel> {
-    let all = Cond::ALL;
-    panel_configs().into_iter().map(|(label, dir, cfg)| panel(label, dir, cfg, &all)).collect()
-}
-
 /// Renders a panel in Figure 2's structure: success-rate-by-k series plus
 /// the failure histogram.
 pub fn render_panel(p: &Panel) -> String {
@@ -110,11 +102,6 @@ pub fn render_panel(p: &Panel) -> String {
     }
     writeln!(out, "overall success: {:.2}%", p.overall_success()).unwrap();
     out
-}
-
-/// Prints a panel (legacy CLI surface over [`render_panel`]).
-pub fn print_panel(p: &Panel) {
-    print!("{}", render_panel(p));
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use gd_chipwhisperer::{scan_cell, scan_multi_cell, targets, CellCounts, Device, MultiCell};
 use gd_emu::Config;
-use gd_glitch_emu::{branch_case, sweep_case_with, SweepResult, Tally};
+use gd_glitch_emu::{branch_case, sweep_case, SweepResult, Tally};
 use gd_thumb::Cond;
 use glitch_resistor::Defenses;
 
@@ -237,8 +237,7 @@ pub fn run_shard(spec: &CampaignSpec, work: &ShardWork) -> ShardResult {
             let case = branch_case(Cond::ALL[cond]);
             // One micro-op table per test case, shared by all 17 k-sweeps
             // (and their worker chunks) of this shard.
-            let image = case.predecode(cfg);
-            ShardResult::Sweep(sweep_case_with(&case, &image, direction, cfg))
+            ShardResult::Sweep(sweep_case(&case, direction, cfg))
         }
         ShardWork::Table1Cell { guard, cycle, cycle_index } => {
             let (name, src) = targets::table1_guards()[guard];

@@ -12,7 +12,7 @@
 
 use crate::device::Device;
 use crate::model::{FaultModel, GlitchParams};
-use crate::scan::{run_attack, AttackOutcome, AttackSpec};
+use crate::scan::{AttackOutcome, AttackSpec, AttemptRunner};
 
 /// Wall-clock cost per attempt on the physical rig (seconds).
 pub const SECONDS_PER_ATTEMPT: f64 = 0.095;
@@ -51,11 +51,11 @@ pub fn find_reliable_params(
 ) -> SearchReport {
     let mut report = SearchReport { attempts: 0, successes: 0, found: None, verified: 0 };
     let mut boot = 0u64;
+    let mut runner = AttemptRunner::new(device);
     let mut try_params = |params: GlitchParams, report: &mut SearchReport| -> bool {
         boot += 1;
         report.attempts += 1;
-        let attempt = run_attack(device, model, params, boot, spec, None);
-        let ok = attempt.outcome == AttackOutcome::Success;
+        let ok = runner.run(model, params, boot, spec, None) == AttackOutcome::Success;
         if ok {
             report.successes += 1;
         }
@@ -122,7 +122,7 @@ pub fn find_reliable_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::SuccessCheck;
+    use crate::scan::{run_attack, SuccessCheck};
     use crate::targets;
 
     #[test]

@@ -88,8 +88,8 @@ pub enum Persistence {
     /// a one-cycle glitch.
     Transient,
     /// The fault affects every fetch of the site for the rest of the run
-    /// (an I-bus stuck-at; cleared only by [`Emu::clear_injections`] or
-    /// [`Emu::restore`] to a pre-injection snapshot).
+    /// (an I-bus stuck-at; cleared only by [`Emu::restore`] to a
+    /// pre-injection snapshot).
     Permanent,
 }
 
@@ -362,11 +362,6 @@ impl Emu {
         self.injections.push(injection);
     }
 
-    /// Disarms and removes every injection.
-    pub fn clear_injections(&mut self) {
-        self.injections.clear();
-    }
-
     /// The currently registered injections (armed or spent).
     pub fn injections(&self) -> &[Injection] {
         &self.injections
@@ -494,6 +489,7 @@ impl Emu {
     /// # Errors
     ///
     /// Exactly those of [`Emu::step`].
+    #[inline]
     pub fn step_predecoded(&mut self, image: &PredecodedImage) -> Result<StepOutcome, Fault> {
         debug_assert_eq!(image.cfg(), self.cfg, "image decoded under a different Config");
         let addr = self.pc;

@@ -5,11 +5,15 @@
 //! [`Memory`] with a precise fault taxonomy matching the paper's outcome
 //! classes (§IV): *Bad Read*, *Bad Fetch*, *Invalid Instruction*, and so on.
 //!
-//! Two entry points matter downstream:
+//! Three entry points matter downstream:
 //!
-//! - [`Emu::step`]/[`Emu::run`] — ordinary fetch/decode/execute, used by the
-//!   bit-flip emulation framework (`gd-glitch-emu`), which corrupts
-//!   instructions *in memory*;
+//! - [`Emu::step`]/[`Emu::run`] — ordinary fetch/decode/execute, the
+//!   reference every fault sweep is tested against;
+//! - [`Replay`] — the sweeps' trial kernel: one booted emulator,
+//!   snapshotted where faults start to matter and replayed per trial on
+//!   predecoded dispatch, used by the bit-flip framework
+//!   (`gd-glitch-emu`), which corrupts instructions *in memory*, and the
+//!   multi-fault campaigns (`gd-faultsim`), which corrupt fetches;
 //! - [`Emu::exec`] — execute an already-decoded instruction, used by the
 //!   pipeline simulator (`gd-pipeline`), which does its own fetching so that
 //!   clock glitches can corrupt halfwords *in flight*. The one-shot
@@ -43,6 +47,7 @@ mod cpu;
 mod exec;
 mod mem;
 mod predecode;
+mod replay;
 
 pub use cpu::Cpu;
 pub use exec::{
@@ -53,3 +58,4 @@ pub use mem::{
     Access, FaultKind, MapError, MemDelta, MemFault, MemSnapshot, Memory, Perms, Region,
 };
 pub use predecode::{classify, PredecodedImage, Slot};
+pub use replay::{Replay, Trial};

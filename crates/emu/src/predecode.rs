@@ -160,6 +160,12 @@ impl PredecodedImage {
         self.slots.get(((addr - self.base) >> 1) as usize).copied()
     }
 
+    /// Index of `addr`'s slot (bit 0 ignored), if it lies in the table.
+    pub fn index(&self, addr: u32) -> Option<usize> {
+        let i = (addr.wrapping_sub(self.base) >> 1) as usize;
+        (i < self.slots.len()).then_some(i)
+    }
+
     /// Invalidates every slot whose decode depends on the halfword at
     /// `addr`: the slot at `addr` itself and the one at `addr - 2`, whose
     /// cached decode may have consumed `addr`'s halfword as the second

@@ -1,0 +1,230 @@
+//! The trial kernel of every exhaustive fault sweep: boot once, snapshot
+//! at the first fetch a fault can reach, then per trial restore, perturb
+//! and replay on predecoded dispatch.
+
+use crate::exec::{Emu, Fault, Fork, Injection, Snapshot, StepOutcome, StopReason, ZERO_FILL};
+use crate::predecode::PredecodedImage;
+
+/// A trial in progress: the state of the [`Replay`] step loop, carried
+/// across a [`Fork`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trial {
+    /// Steps left in the budget.
+    pub left: u64,
+    /// Steps slid through zero-filled flash ([`Emu::slide`]) rather than
+    /// dispatched.
+    pub slid: u64,
+    /// The store watch fired.
+    pub watched: bool,
+    /// The clean stop or fault the trial ended with; `None` while it runs
+    /// and when its budget ran out.
+    pub end: Option<Result<StopReason, Fault>>,
+}
+
+impl Trial {
+    /// A trial with `budget` steps left that has not run yet.
+    pub fn new(budget: u64) -> Trial {
+        Trial { left: budget, slid: 0, watched: false, end: None }
+    }
+
+    /// Whether the trial stopped, faulted or exhausted its budget.
+    #[inline]
+    pub fn ended(&self) -> bool {
+        self.left == 0 || self.end.is_some()
+    }
+}
+
+/// One booted emulator replayed for every trial of a fault sweep.
+///
+/// Construction boots and runs to the first fetch a `start` predicate
+/// selects, where it snapshots: execution before that fetch cannot see
+/// the perturbation, so it is paid once. The per-trial budget shrinks by
+/// the steps replayed, so step-limit outcomes match a run from reset. If
+/// the program stops, faults or spends its budget first, the snapshot is
+/// the reset state.
+///
+/// Each trial restores the snapshot, arms its perturbation — a loader
+/// poke ([`Replay::poke`]) or fetch-stage injections ([`Replay::arm`]) —
+/// and runs on predecoded dispatch ([`Emu::step_predecoded`]). Zero fill
+/// outside the table is slid through ([`Emu::slide`]); a slide never
+/// enters the table, so a pause predicate sees every fetch inside it.
+#[derive(Debug)]
+pub struct Replay {
+    emu: Emu,
+    snap: Snapshot,
+    /// The table as built.
+    table: PredecodedImage,
+    /// `table` with the sites of armed injections invalidated, since
+    /// injections apply on the live path only: what trials dispatch from.
+    dispatch: PredecodedImage,
+    /// Sites invalidated in `dispatch`, healed on the next arm or resume.
+    sites: Vec<u32>,
+    budget: u64,
+    replayed: u64,
+    /// The `(address, value)` store that sets [`Trial::watched`].
+    watch: Option<(u32, u32)>,
+}
+
+impl Replay {
+    /// Boots with `boot` and snapshots at the first fetch `start`
+    /// selects, running on `table`, which must decode the booted memory
+    /// under the emulator's configuration; `budget` counts steps from
+    /// reset. `start` must select PCs inside the table, since slides do
+    /// not stop outside it. Stores before the snapshot do not fire the
+    /// `watch`.
+    pub fn new(
+        boot: impl Fn() -> Emu,
+        table: PredecodedImage,
+        budget: u64,
+        watch: Option<(u32, u32)>,
+        start: impl Fn(u32) -> bool,
+    ) -> Replay {
+        let mut replay = Replay {
+            emu: boot(),
+            // Replaced below, once the run reaches the snapshot point.
+            snap: Emu::new().snapshot(),
+            dispatch: table.clone(),
+            table,
+            sites: Vec::new(),
+            budget,
+            replayed: 0,
+            watch,
+        };
+        let mut trial = Trial::new(budget);
+        if replay.run(&mut trial, |r, _| start(r.emu.pc())) {
+            replay.emu = boot();
+        } else {
+            replay.budget = trial.left;
+            replay.replayed = budget - trial.left;
+        }
+        replay.snap = replay.emu.snapshot();
+        replay
+    }
+
+    /// The emulator, as the last trial left it.
+    pub fn emu(&self) -> &Emu {
+        &self.emu
+    }
+
+    /// The micro-op table, as built.
+    pub fn table(&self) -> &PredecodedImage {
+        &self.table
+    }
+
+    /// The per-trial step budget.
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Steps replayed into the snapshot.
+    pub fn replayed(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Restores the snapshot and loads halfword `hw` at `addr`, which the
+    /// table must decode live ([`PredecodedImage::invalidate`]); returns
+    /// the trial to run.
+    #[inline]
+    pub fn poke(&mut self, addr: u32, hw: u16) -> Trial {
+        self.emu.restore(&self.snap);
+        self.emu.mem.load(addr, &hw.to_le_bytes()).expect("poked address mapped");
+        Trial::new(self.budget)
+    }
+
+    /// Restores the snapshot and arms `injections`; returns the trial to
+    /// run.
+    pub fn arm(&mut self, injections: impl IntoIterator<Item = Injection>) -> Trial {
+        self.emu.restore(&self.snap);
+        self.heal();
+        for injection in injections {
+            self.inject(injection);
+        }
+        Trial::new(self.budget)
+    }
+
+    /// Arms one more injection in the running trial.
+    pub fn inject(&mut self, injection: Injection) {
+        self.emu.inject(injection);
+        self.dispatch.invalidate_range(injection.addr, 2);
+        self.sites.push(injection.addr);
+    }
+
+    /// Returns to `fork`, taken in a trial of this replay.
+    pub fn resume(&mut self, fork: &Fork) {
+        self.emu.resume(&self.snap, fork);
+        self.heal();
+        for i in 0..self.emu.injections().len() {
+            let addr = self.emu.injections()[i].addr;
+            self.dispatch.invalidate_range(addr, 2);
+            self.sites.push(addr);
+        }
+    }
+
+    /// Whether the emulator is in exactly `fork`'s state
+    /// ([`Emu::same_state`]).
+    pub fn same_state(&self, fork: &Fork) -> bool {
+        self.emu.same_state(&self.snap, fork)
+    }
+
+    /// Steps `trial` until it ends (returning `true`), or until `pause`,
+    /// asked before every step with the trial's steps so far, selects the
+    /// next fetch (returning `false`, that fetch not yet made).
+    #[inline]
+    pub fn run(&mut self, trial: &mut Trial, mut pause: impl FnMut(&Replay, u64) -> bool) -> bool {
+        // A local copy keeps the trial in registers across the loop.
+        let mut t = *trial;
+        let ended = loop {
+            if t.ended() {
+                break true;
+            }
+            if pause(self, self.budget - t.left) {
+                break false;
+            }
+            self.step(&mut t);
+        };
+        *trial = t;
+        ended
+    }
+
+    /// Dispatches one step of `trial`, which must not have ended, then
+    /// slides on through any zero fill it entered.
+    #[inline]
+    pub fn step(&mut self, trial: &mut Trial) {
+        trial.left -= 1;
+        match self.emu.step_predecoded(&self.dispatch) {
+            Ok(StepOutcome::Step(s)) => {
+                if self.watch.is_some() && s.store == self.watch {
+                    trial.watched = true;
+                }
+                if s.instr == ZERO_FILL {
+                    let n = self.emu.slide(self.slide_limit(trial.left));
+                    trial.left -= n;
+                    trial.slid += n;
+                }
+            }
+            Ok(StepOutcome::Stop { reason, .. }) => trial.end = Some(Ok(reason)),
+            Err(f) => trial.end = Some(Err(f)),
+        }
+    }
+
+    fn heal(&mut self) {
+        for site in self.sites.drain(..) {
+            self.dispatch.heal_range(&self.table, site, 2);
+        }
+    }
+
+    /// How far the emulator may slide: up to `left` steps, but never into
+    /// or across the table.
+    fn slide_limit(&self, left: u64) -> u64 {
+        let pc = u64::from(self.emu.pc());
+        let lo = u64::from(self.table.base());
+        let hi = lo + 2 * self.table.len() as u64;
+        if pc >= hi {
+            left
+        } else if pc < lo {
+            left.min((lo - pc) / 2)
+        } else {
+            0
+        }
+    }
+}

@@ -1,12 +1,11 @@
-//! The multi-fault trial loop: one booted emulator, one snapshot taken
-//! at the first scoped fetch, predecoded dispatch everywhere else — the
-//! `PerturbRunner` pattern generalized to N fetch-stage injections per
-//! trial.
+//! The multi-fault trial runners: a [`Replay`] of the image booted to
+//! the first scoped fetch, with N fetch-stage injections armed per
+//! trial, and the classifiers that read the boot firmware's markers or
+//! an ingested image's divergence from its unfaulted run.
 
 use gd_backend::FirmwareImage;
 use gd_emu::{
-    Config, Cpu, Emu, Fault, Fork, Injection, LoadOverride, PredecodedImage, Snapshot, StepOutcome,
-    StopReason, ZERO_FILL,
+    Config, Cpu, Emu, Fork, Injection, LoadOverride, PredecodedImage, Replay, StopReason, Trial,
 };
 use gd_firmware::BOOT_MARKER;
 use gd_glitch_emu::Outcome;
@@ -24,161 +23,22 @@ pub const MF_TRIAL_STEPS: u64 = 4096;
 /// reaches.
 pub const COMPROMISE_VALUE: u32 = 0xC0DE;
 
-/// A trial in progress: the state of the one step loop every runner
-/// shares, carried across a fork.
-#[derive(Debug, Clone, Copy)]
-struct Trial {
-    /// Steps left in the budget.
-    left: u64,
-    /// Steps slid through zero-filled flash ([`Emu::slide`]) rather than
-    /// dispatched.
-    slid: u64,
-    /// The compromise watch fired.
-    compromised: bool,
-    /// Clean stop, if the trial stopped.
-    stop: Option<StopReason>,
-    /// Fault, if the trial faulted.
-    fault: Option<Fault>,
-}
-
-impl Trial {
-    fn new(budget: u64) -> Trial {
-        Trial { left: budget, slid: 0, compromised: false, stop: None, fault: None }
-    }
-
-    /// Whether the trial stopped, faulted or exhausted its budget.
-    fn ended(&self) -> bool {
-        self.left == 0 || self.stop.is_some() || self.fault.is_some()
-    }
-}
-
-/// Whether `pc` lies in one of the half-open `scope` ranges.
-fn in_scope(scope: &[(u32, u32)], pc: u32) -> bool {
-    scope.iter().any(|&(lo, hi)| pc >= lo && pc < hi)
-}
-
-/// What both runners share: the image booted to the first scoped fetch,
-/// its snapshot there, and the working and pristine micro-op tables.
-#[derive(Debug)]
-struct Booted {
-    emu: Emu,
-    snap: Snapshot,
-    image: PredecodedImage,
-    pristine: PredecodedImage,
-    budget: u64,
-}
-
-impl Booted {
-    /// Boots `image` and snapshots at the first fetch within `scope`
-    /// (half-open address ranges). Falls back to the reset state if no
-    /// scoped fetch happens within the budget — execution before that
-    /// point cannot observe a fault at a scoped site, so it is identical
-    /// for every trial and paid once.
-    fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> Booted {
+/// Boots `image` into a [`Replay`] over its text, snapshotted at the
+/// first fetch within `scope` (half-open address ranges).
+fn replay(
+    image: &FirmwareImage,
+    cfg: Config,
+    scope: &[(u32, u32)],
+    watch: Option<(u32, u32)>,
+) -> Replay {
+    let boot = || {
         let mut emu = image.boot_emu();
         emu.cfg = cfg;
-        let pristine = PredecodedImage::from_bytes(image.text_base, &image.text, cfg);
-        let mut clean = true;
-        while !in_scope(scope, emu.pc()) && emu.steps() < MF_TRIAL_STEPS {
-            match emu.step_predecoded(&pristine) {
-                Ok(StepOutcome::Step(_)) => {}
-                _ => {
-                    clean = false;
-                    break;
-                }
-            }
-        }
-        if !clean {
-            emu = image.boot_emu();
-            emu.cfg = cfg;
-        }
-        let budget = MF_TRIAL_STEPS - emu.steps();
-        let snap = emu.snapshot();
-        Booted { emu, snap, image: pristine.clone(), pristine, budget }
-    }
-
-    /// Restores the snapshot and arms `faults`, invalidating their sites
-    /// in the working table (injections apply on the live path only).
-    fn arm(&mut self, faults: &[FaultInstance]) {
-        self.emu.restore(&self.snap);
-        for f in faults {
-            self.emu.inject(f.injection());
-            self.image.invalidate_range(f.site, 2);
-        }
-    }
-
-    /// Heals the slots [`Booted::arm`] invalidated.
-    fn heal(&mut self, faults: &[FaultInstance]) {
-        for f in faults {
-            self.image.heal_range(&self.pristine, f.site, 2);
-        }
-    }
-
-    /// The one trial step loop. Steps until the trial ends (returning
-    /// `true`), or until the next fetch is at a PC `pause` selects
-    /// (returning `false`, that fetch not yet made). `pause` is given the
-    /// PC and the trial's steps so far.
-    ///
-    /// Runs of zero-filled flash outside the text table are slid through
-    /// ([`Emu::slide`]), so `pause` sees every fetch PC inside the text
-    /// table, in order, but not every one outside it. Every site the
-    /// walks pause at lies inside.
-    fn run(
-        &mut self,
-        trial: &mut Trial,
-        watch: Option<(u32, u32)>,
-        mut pause: impl FnMut(u32, u64) -> bool,
-    ) -> bool {
-        while !trial.ended() {
-            if pause(self.emu.pc(), self.budget - trial.left) {
-                return false;
-            }
-            self.step(trial, watch);
-        }
-        true
-    }
-
-    /// Dispatches one step of `trial`, then slides on through any
-    /// zero-filled flash it entered.
-    fn step(&mut self, trial: &mut Trial, watch: Option<(u32, u32)>) {
-        trial.left -= 1;
-        match self.emu.step_predecoded(&self.image) {
-            Ok(StepOutcome::Step(s)) => {
-                if watch.is_some() && s.store == watch {
-                    trial.compromised = true;
-                }
-                if s.instr == ZERO_FILL {
-                    let n = self.emu.slide(self.slide_limit(trial.left));
-                    trial.left -= n;
-                    trial.slid += n;
-                }
-            }
-            Ok(StepOutcome::Stop { reason, .. }) => trial.stop = Some(reason),
-            Err(f) => trial.fault = Some(f),
-        }
-    }
-
-    /// How far the emulator may slide from its PC: up to `left` steps,
-    /// but never into or across the text table, whose fetches `pause`
-    /// must see.
-    fn slide_limit(&self, left: u64) -> u64 {
-        let pc = u64::from(self.emu.pc());
-        let lo = u64::from(self.pristine.base());
-        let hi = lo + 2 * self.pristine.len() as u64;
-        if pc >= hi {
-            left
-        } else if pc < lo {
-            left.min((lo - pc) / 2)
-        } else {
-            0
-        }
-    }
-
-    /// Halfword index of `addr` in the text table, if it lies there.
-    fn slot_index(&self, addr: u32) -> Option<usize> {
-        let i = (addr.wrapping_sub(self.pristine.base()) >> 1) as usize;
-        (i < self.pristine.len()).then_some(i)
-    }
+        emu
+    };
+    let table = PredecodedImage::from_bytes(image.text_base, &image.text, cfg);
+    let start = |pc| scope.iter().any(|&(lo, hi)| (lo..hi).contains(&pc));
+    Replay::new(boot, table, MF_TRIAL_STEPS, watch, start)
 }
 
 /// Step ledger of the second-order pair trials that ran: each ran from a
@@ -265,7 +125,7 @@ struct StoreFree {
     pc: u32,
     /// Steps left in the budget.
     left: u64,
-    compromised: bool,
+    watched: bool,
     load_override: Option<LoadOverride>,
     cpu: Cpu,
 }
@@ -280,8 +140,8 @@ pub struct Fired(FiredState);
 enum FiredState {
     /// Running on from this state, with this compromise flag.
     Runs(Fork, bool),
-    /// Ended at that step: stop, fault, compromise flag and final `r0`.
-    Ended((Option<StopReason>, Option<Fault>, bool, u32)),
+    /// Ended at that step: stop or fault, compromise flag and final `r0`.
+    Ended((Option<Result<StopReason, gd_emu::Fault>>, bool, u32)),
     /// Never fires: the unfaulted trial never fetches its site.
     Never,
 }
@@ -289,21 +149,16 @@ enum FiredState {
 /// Replays `firmware::boot` under sets of armed fault injections and
 /// classifies each trial.
 ///
-/// Construction boots the image once and advances to the first fetch
-/// inside any scoped range, snapshots, and replays one unfaulted trial,
+/// Construction boots the image into a [`Replay`] snapshotted at the
+/// first fetch inside any scoped range, and replays one unfaulted trial,
 /// recording when each halfword is first fetched and a [`Fork`] at every
-/// step it dispatches. Each trial restores the snapshot (dropping the
-/// previous trial's injections), arms the set, invalidates the injected
-/// sites in a working copy of the micro-op table (injections apply on
-/// the live fallback path only), runs with a compromise watch on the
-/// uart store, and heals the table from a pristine copy.
+/// step it dispatches. Each trial arms its set of injections on the
+/// replay and runs with a compromise watch on the uart store.
 /// [`MultiFaultRunner::run_pairs`] runs many two-fault trials that share
 /// a first fault off that fault's trial.
 #[derive(Debug)]
 pub struct MultiFaultRunner {
-    booted: Booted,
-    /// The `(uart_out, COMPROMISE_VALUE)` store.
-    watch: (u32, u32),
+    replay: Replay,
     /// Per text halfword: the unfaulted trial's step at its first fetch
     /// (`u32::MAX`: never fetched).
     first_fetch: Vec<u32>,
@@ -333,30 +188,26 @@ impl MultiFaultRunner {
     /// (half-open address ranges). Falls back to the reset state if no
     /// scoped fetch happens within the budget.
     pub fn new(image: &FirmwareImage, cfg: Config, scope: &[(u32, u32)]) -> MultiFaultRunner {
-        let mut booted = Booted::new(image, cfg, scope);
         let watch = (image.symbol("uart_out"), COMPROMISE_VALUE);
-        let mut first_fetch = vec![u32::MAX; booted.pristine.len()];
+        let mut replay = replay(image, cfg, scope, Some(watch));
+        let mut first_fetch = vec![u32::MAX; replay.table().len()];
         let mut baseline = Vec::new();
-        booted.emu.restore(&booted.snap);
-        let mut trial = Trial::new(booted.budget);
-        while !trial.ended() {
-            let step = booted.budget - trial.left;
-            if let Some(i) = booted.slot_index(booted.emu.pc()) {
+        let mut trial = replay.arm([]);
+        replay.run(&mut trial, |r, step| {
+            if let Some(i) = r.table().index(r.emu().pc()) {
                 first_fetch[i] = first_fetch[i].min(step as u32);
             }
             baseline.resize_with(step as usize, || None);
-            baseline.push(Some(booted.emu.fork()));
-            booted.step(&mut trial, Some(watch));
-        }
-        let unfaulted = classify(&booted.emu, &trial);
-        if trial.compromised {
+            baseline.push(Some(r.emu().fork()));
+            false
+        });
+        let unfaulted = Self::classify(replay.emu(), &trial);
+        if trial.watched {
             baseline.clear();
         }
-        booted.emu.restore(&booted.snap);
         let pending = vec![false; first_fetch.len()];
         MultiFaultRunner {
-            booted,
-            watch,
+            replay,
             first_fetch,
             baseline,
             unfaulted,
@@ -371,14 +222,14 @@ impl MultiFaultRunner {
     /// Steps already replayed into the snapshot (per-trial budget is
     /// [`MF_TRIAL_STEPS`] minus this).
     pub fn replayed(&self) -> u64 {
-        MF_TRIAL_STEPS - self.booted.budget
+        self.replay.replayed()
     }
 
     /// Steps from the snapshot to the unfaulted trial's first fetch of
     /// `site`, or `None` if it never fetches it. Of two faults, the one
     /// whose site comes first fires first in their pair trial.
     pub fn first_fetch(&self, site: u32) -> Option<u32> {
-        let i = self.booted.slot_index(site)?;
+        let i = self.replay.table().index(site)?;
         Some(self.first_fetch[i]).filter(|&s| s != u32::MAX)
     }
 
@@ -406,12 +257,10 @@ impl MultiFaultRunner {
     /// [`MultiFaultRunner::run`], also returning the steps the trial took
     /// (none of them shared).
     pub fn run_counted(&mut self, faults: &[FaultInstance]) -> (Outcome, PairSteps) {
-        self.booted.arm(faults);
-        let start = Trial::new(self.booted.budget);
+        let start = self.replay.arm(faults.iter().map(FaultInstance::injection));
         let mut trial = start;
-        self.booted.run(&mut trial, Some(self.watch), |_, _| false);
-        self.booted.heal(faults);
-        (classify(&self.booted.emu, &trial), PairSteps::run_since(&start, &trial))
+        self.replay.run(&mut trial, |_, _| false);
+        (Self::classify(self.replay.emu(), &trial), PairSteps::run_since(&start, &trial))
     }
 
     /// [`MultiFaultRunner::run`] for one fault, also placing it in a
@@ -432,23 +281,19 @@ impl MultiFaultRunner {
         fault: FaultInstance,
         classes: &mut Vec<Fired>,
     ) -> (Outcome, usize) {
-        let watch = Some(self.watch);
         let fires = self.first_fetch(fault.site).map(u64::from);
-        self.booted.arm(&[fault]);
-        let mut trial = Trial::new(self.booted.budget);
+        let mut trial = self.replay.arm([fault.injection()]);
         if let Some(at) = fires {
-            if !self.booted.run(&mut trial, watch, |_, step| step == at) {
-                self.booted.step(&mut trial, watch);
+            if !self.replay.run(&mut trial, |_, step| step == at) {
+                self.replay.step(&mut trial);
             }
         }
-        let (booted, r0) = (&self.booted, self.booted.emu.cpu.reg(Reg::R0));
-        let ended = (trial.stop, trial.fault, trial.compromised, r0);
+        let (replay, r0) = (&self.replay, self.replay.emu().cpu.reg(Reg::R0));
+        let ended = (trial.end, trial.watched, r0);
         let same = |class: &Fired| match (&class.0, fires) {
             (FiredState::Never, None) => true,
-            (FiredState::Runs(fork, compromised), Some(_)) => {
-                !trial.ended()
-                    && *compromised == trial.compromised
-                    && booted.emu.same_state(&booted.snap, fork)
+            (FiredState::Runs(fork, watched), Some(_)) => {
+                !trial.ended() && *watched == trial.watched && replay.same_state(fork)
             }
             (FiredState::Ended(end), Some(_)) => trial.ended() && *end == ended,
             _ => false,
@@ -457,13 +302,12 @@ impl MultiFaultRunner {
             classes.push(Fired(match fires {
                 None => FiredState::Never,
                 Some(_) if trial.ended() => FiredState::Ended(ended),
-                Some(_) => FiredState::Runs(self.booted.emu.fork(), trial.compromised),
+                Some(_) => FiredState::Runs(self.replay.emu().fork(), trial.watched),
             }));
             classes.len() - 1
         });
-        self.booted.run(&mut trial, watch, |_, _| false);
-        self.booted.heal(&[fault]);
-        (classify(&self.booted.emu, &trial), class)
+        self.replay.run(&mut trial, |_, _| false);
+        (Self::classify(self.replay.emu(), &trial), class)
     }
 
     /// Runs the pair trial `{first, p}` for every `(p, o1)` in `partners`,
@@ -524,14 +368,14 @@ impl MultiFaultRunner {
         let mut left = 0; // partner sites still awaiting their first fetch
         for (p, _) in partners {
             assert_ne!(p.site, first.site, "a pair needs two sites");
-            let i = self.booted.slot_index(p.site).expect("partner site in text");
+            let i = self.replay.table().index(p.site).expect("partner site in text");
             left += usize::from(!std::mem::replace(&mut self.pending[i], true));
         }
         outcomes.clear();
         outcomes.resize(partners.len(), Outcome::NoEffect);
 
-        let (budget, watch) = (self.booted.budget, Some(self.watch));
-        let base = self.booted.pristine.base();
+        let budget = self.replay.budget();
+        let base = self.replay.table().base();
         let slot = |addr: u32| (addr.wrapping_sub(base) >> 1) as usize;
         let mut steps = PairSteps::default();
         let mut by = PairsBy::default();
@@ -539,25 +383,26 @@ impl MultiFaultRunner {
         // unfaulted one.
         let mut rejoin_from = self.first_fetch(first.site).map_or(u64::MAX, |at| u64::from(at) + 1);
         let mut alone = None; // `first`'s own outcome, once known
-        self.booted.arm(&[first]);
-        let mut trial = Trial::new(budget);
+        let mut trial = self.replay.arm([first.injection()]);
         while left > 0 || (alone.is_none() && !merged.is_empty()) {
             let (pending, baseline) = (&self.pending, &self.baseline);
             let rejoin = |pc: u32, step: u64| {
                 let unfaulted = baseline.get(step as usize).and_then(Option::as_ref);
                 step >= rejoin_from && unfaulted.is_some_and(|b| b.pc() == pc)
             };
-            let pause =
-                |pc: u32, step: u64| pending.get(slot(pc)) == Some(&true) || rejoin(pc, step);
-            if self.booted.run(&mut trial, watch, pause) {
+            let pause = |r: &Replay, step: u64| {
+                let pc = r.emu().pc();
+                pending.get(slot(pc)) == Some(&true) || rejoin(pc, step)
+            };
+            if self.replay.run(&mut trial, pause) {
                 break;
             }
-            let (pc, step) = (self.booted.emu.pc(), budget - trial.left);
+            let (pc, step) = (self.replay.emu().pc(), budget - trial.left);
             if rejoin(pc, step) {
                 let unfaulted = self.baseline[step as usize].as_ref().expect("paused at a step");
-                if trial.compromised {
+                if trial.watched {
                     rejoin_from = u64::MAX;
-                } else if self.booted.emu.same_state(&self.booted.snap, unfaulted) {
+                } else if self.replay.same_state(unfaulted) {
                     rejoin_from = u64::MAX;
                     alone = Some(self.unfaulted);
                     for site in by_site.chunk_by(|&a, &b| partners[a].0.site == partners[b].0.site)
@@ -575,35 +420,31 @@ impl MultiFaultRunner {
                 }
             }
             if !std::mem::replace(&mut self.pending[slot(pc)], false) {
-                self.booted.step(&mut trial, watch); // paused only to check a rejoin
+                self.replay.step(&mut trial); // paused only to check a rejoin
                 continue;
             }
             left -= 1;
-            let fork = self.booted.emu.fork();
+            let fork = self.replay.emu().fork();
             let at = trial;
-            self.booted.step(&mut trial, watch);
+            self.replay.step(&mut trial);
             let next = if trial.ended() {
-                alone = alone.or(Some(classify(&self.booted.emu, &trial)));
+                alone = alone.or(Some(Self::classify(self.replay.emu(), &trial)));
                 None
             } else {
-                Some(self.booted.emu.fork())
+                Some(self.replay.emu().fork())
             };
             let lo = by_site.partition_point(|&i| partners[i].0.site < pc);
             seconds.clear();
             for &i in by_site[lo..].iter().take_while(|&&i| partners[i].0.site == pc) {
-                self.booted.emu.resume(&self.booted.snap, &fork);
-                let second = partners[i].0;
-                self.booted.emu.inject(second.injection());
-                self.booted.image.invalidate_range(second.site, 2);
-                let epoch = self.booted.emu.mem.write_epoch();
+                self.replay.resume(&fork);
+                self.replay.inject(partners[i].0.injection());
+                let epoch = self.replay.emu().mem.write_epoch();
                 let mut pair = at;
-                self.booted.step(&mut pair, watch);
+                self.replay.step(&mut pair);
                 let noop = !pair.ended()
-                    && pair.compromised == trial.compromised
-                    && next
-                        .as_ref()
-                        .is_some_and(|n| self.booted.emu.same_state(&self.booted.snap, n));
-                let emu = &self.booted.emu;
+                    && pair.watched == trial.watched
+                    && next.as_ref().is_some_and(|n| self.replay.same_state(n));
+                let emu = self.replay.emu();
                 let state = (!noop
                     && !pair.ended()
                     && emu.mem.write_epoch() == epoch
@@ -611,7 +452,7 @@ impl MultiFaultRunner {
                 .then(|| StoreFree {
                     pc: emu.pc(),
                     left: pair.left,
-                    compromised: pair.compromised,
+                    watched: pair.watched,
                     load_override: emu.load_override,
                     cpu: emu.cpu.clone(),
                 });
@@ -624,26 +465,21 @@ impl MultiFaultRunner {
                     self.settled.push((i, q));
                     by.second += 1;
                 } else {
-                    self.booted.run(&mut pair, watch, |_, _| false);
-                    outcomes[i] = classify(&self.booted.emu, &pair);
+                    self.replay.run(&mut pair, |_, _| false);
+                    outcomes[i] = Self::classify(self.replay.emu(), &pair);
                     by.trial += 1;
                     steps.shared += budget - at.left;
                     seconds.extend(state.map(|s| (s, i)));
                 }
-                // Adjacent sites share a slot: healing the second fault's
-                // range must not revalidate the first's.
-                self.booted.heal(&[second]);
-                self.booted.image.invalidate_range(first.site, 2);
                 steps.merge(&PairSteps::run_since(&at, &pair));
             }
             match &next {
-                Some(next) => self.booted.emu.resume(&self.booted.snap, next),
+                Some(next) => self.replay.resume(next),
                 None => break,
             }
         }
-        self.booted.heal(&[first]);
         if trial.ended() && alone.is_none() {
-            alone = Some(classify(&self.booted.emu, &trial));
+            alone = Some(Self::classify(self.replay.emu(), &trial));
         }
 
         for &i in &merged {
@@ -662,19 +498,21 @@ impl MultiFaultRunner {
         self.seconds = seconds;
         (steps, by)
     }
-}
 
-/// Classifies a finished trial of `firmware::boot` (see
-/// [`MultiFaultRunner::run`]); `emu` holds its final state.
-fn classify(emu: &Emu, trial: &Trial) -> Outcome {
-    if trial.compromised {
-        return Outcome::Success;
-    }
-    match (trial.stop, trial.fault) {
-        (Some(StopReason::Bkpt(_)), _) if emu.cpu.reg(Reg::R0) == BOOT_MARKER => Outcome::NoEffect,
-        (Some(_), _) => Outcome::Failed,
-        (None, Some(f)) => Outcome::from_fault(&f),
-        (None, None) => Outcome::Failed, // step budget exhausted
+    /// Classifies a finished trial of `firmware::boot` (see
+    /// [`MultiFaultRunner::run`]); `emu` holds its final state.
+    pub fn classify(emu: &Emu, trial: &Trial) -> Outcome {
+        if trial.watched {
+            return Outcome::Success;
+        }
+        match trial.end {
+            Some(Ok(StopReason::Bkpt(_))) if emu.cpu.reg(Reg::R0) == BOOT_MARKER => {
+                Outcome::NoEffect
+            }
+            Some(Ok(_)) => Outcome::Failed,
+            Some(Err(f)) => Outcome::from_fault(&f),
+            None => Outcome::Failed, // step budget exhausted
+        }
     }
 }
 
@@ -693,9 +531,9 @@ enum Baseline {
 /// [`BOOT_MARKER`] convention, so trials classify by *divergence from
 /// the unfaulted baseline* instead.
 ///
-/// Construction boots the image, advances to the first scoped fetch,
-/// snapshots, and replays one unfaulted trial to record the baseline.
-/// Each faulted trial then classifies as:
+/// Construction boots the image into a [`Replay`] snapshotted at the
+/// first scoped fetch, and replays one unfaulted trial to record the
+/// baseline. Each faulted trial then classifies as:
 ///
 /// - *Success* when the optional `(address, value)` store watch fires —
 ///   the glitch drove a store no honest run performs;
@@ -707,9 +545,8 @@ enum Baseline {
 ///   baseline finished).
 #[derive(Debug)]
 pub struct DivergenceRunner {
-    booted: Booted,
+    replay: Replay,
     scope: Vec<(u32, u32)>,
-    watch: Option<(u32, u32)>,
     baseline: Baseline,
 }
 
@@ -724,48 +561,53 @@ impl DivergenceRunner {
         scope: &[(u32, u32)],
         watch: Option<(u32, u32)>,
     ) -> DivergenceRunner {
-        let mut booted = Booted::new(image, cfg, scope);
+        let mut replay = replay(image, cfg, scope, watch);
         // One unfaulted replay pins the baseline the trials diverge from.
-        let mut trial = Trial::new(booted.budget);
-        booted.run(&mut trial, None, |_, _| false);
-        let baseline = match (trial.stop, trial.fault) {
-            (Some(reason), _) => Baseline::Stop(reason, booted.emu.cpu.reg(Reg::R0)),
-            (None, Some(f)) => panic!("unfaulted baseline faults: {f:?}"),
-            (None, None) => Baseline::Spin,
+        let mut trial = replay.arm([]);
+        replay.run(&mut trial, |_, _| false);
+        let baseline = match trial.end {
+            Some(Ok(reason)) => Baseline::Stop(reason, replay.emu().cpu.reg(Reg::R0)),
+            Some(Err(f)) => panic!("unfaulted baseline faults: {f:?}"),
+            None => Baseline::Spin,
         };
-        booted.emu.restore(&booted.snap);
-        DivergenceRunner { booted, scope: scope.to_vec(), watch, baseline }
+        DivergenceRunner { replay, scope: scope.to_vec(), baseline }
     }
 
     /// Steps already replayed into the snapshot.
     pub fn replayed(&self) -> u64 {
-        MF_TRIAL_STEPS - self.booted.budget
+        self.replay.replayed()
     }
 
     /// Runs one trial with `faults` armed and classifies it against the
     /// baseline.
     pub fn run(&mut self, faults: &[FaultInstance]) -> Outcome {
-        self.booted.arm(faults);
-        let mut trial = Trial::new(self.booted.budget);
-        self.booted.run(&mut trial, self.watch, |_, _| false);
-        self.booted.heal(faults);
-        if trial.compromised {
+        let mut trial = self.replay.arm(faults.iter().map(FaultInstance::injection));
+        self.replay.run(&mut trial, |_, _| false);
+        self.classify(self.replay.emu(), &trial)
+    }
+
+    /// Classifies a finished trial against the baseline; `emu` holds its
+    /// final state.
+    pub fn classify(&self, emu: &Emu, trial: &Trial) -> Outcome {
+        if trial.watched {
             return Outcome::Success;
         }
-        match (trial.stop, trial.fault, self.baseline) {
-            (Some(reason), _, Baseline::Stop(base, r0))
-                if reason == base && self.booted.emu.cpu.reg(Reg::R0) == r0 =>
+        match (trial.end, self.baseline) {
+            (Some(Ok(reason)), Baseline::Stop(base, r0))
+                if reason == base && emu.cpu.reg(Reg::R0) == r0 =>
             {
                 Outcome::NoEffect
             }
-            (Some(_), _, _) => Outcome::Failed,
-            (None, Some(f), _) => Outcome::from_fault(&f),
-            (None, None, Baseline::Spin) if in_scope(&self.scope, self.booted.emu.pc()) => {
+            (Some(Ok(_)), _) => Outcome::Failed,
+            (Some(Err(f)), _) => Outcome::from_fault(&f),
+            (None, Baseline::Spin)
+                if self.scope.iter().any(|&(lo, hi)| (lo..hi).contains(&emu.pc())) =>
+            {
                 Outcome::NoEffect
             }
             // Budget exhausted outside the scope, or when the baseline
             // finished.
-            (None, None, _) => Outcome::Failed,
+            (None, _) => Outcome::Failed,
         }
     }
 }

@@ -151,12 +151,7 @@ impl SkipCase {
                 }
             }
             RunOutcome::Stop { .. } | RunOutcome::StepLimit { .. } => Outcome::Failed,
-            RunOutcome::Fault { fault, .. } => match fault {
-                gd_emu::Fault::Mem(m) if m.access == gd_emu::Access::Fetch => Outcome::BadFetch,
-                gd_emu::Fault::Mem(_) => Outcome::BadRead,
-                gd_emu::Fault::Undefined { .. } => Outcome::InvalidInstruction,
-                gd_emu::Fault::InterworkArm { .. } => Outcome::Failed,
-            },
+            RunOutcome::Fault { fault, .. } => Outcome::from_fault(&fault),
         }
     }
 

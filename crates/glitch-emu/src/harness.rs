@@ -45,15 +45,14 @@ impl TestCase {
         u16::from_le_bytes([self.program.code[off], self.program.code[off + 1]])
     }
 
-    /// Predecodes the snippet's whole flash region (original, unperturbed
-    /// bytes) into a micro-op table for the sweep fast path, with the
-    /// targeted instruction already invalidated so every trial decodes
-    /// the perturbed halfword — and its possible 32-bit predecessor —
-    /// live from memory.
+    /// Predecodes the snippet's code (original, unperturbed bytes) into
+    /// a micro-op table for the sweep fast path, with the targeted
+    /// instruction already invalidated so every trial decodes the
+    /// perturbed halfword — and its possible 32-bit predecessor — live
+    /// from memory. The flash's zero fill after the code lies outside
+    /// the table, where trials slide through it ([`gd_emu::Replay`]).
     pub fn predecode(&self, cfg: Config) -> PredecodedImage {
-        let emu = self.instantiate(self.target_halfword(), cfg);
-        let flash = emu.mem.region_at(self.target_addr).expect("target mapped");
-        let mut image = PredecodedImage::from_region(flash, cfg);
+        let mut image = PredecodedImage::from_bytes(self.program.origin, &self.program.code, cfg);
         image.invalidate(self.target_addr);
         image
     }

@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use gd_emu::{Config, Emu, Fault, PredecodedImage, RunOutcome, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Config, Emu, Fault, Replay, RunOutcome, StopReason};
 
 use crate::harness::{TestCase, NORMAL_MARKER, NORMAL_REG, SUCCESS_MARKER, SUCCESS_REG};
 use crate::masks::ChooseBits;
@@ -181,12 +181,13 @@ impl Tally {
 /// instructions, small enough to cut stuck loops off quickly.
 const TRIAL_STEPS: u64 = 256;
 
-/// Maps a finished run to its Figure 2 outcome class, reading the marker
+/// Maps how a trial ended (a clean stop, a fault, or `None` when its
+/// budget ran out) to its Figure 2 outcome class, reading the marker
 /// registers for clean stops. Shared by the interpreter reference path
 /// and the predecoded fast path so the classification cannot drift.
-fn classify_trial(outcome: RunOutcome, emu: &Emu) -> Outcome {
-    match outcome {
-        RunOutcome::Stop { reason: StopReason::Bkpt(_), .. } => {
+fn classify_trial(end: Option<Result<StopReason, Fault>>, emu: &Emu) -> Outcome {
+    match end {
+        Some(Ok(StopReason::Bkpt(_))) => {
             let success = emu.cpu.reg(SUCCESS_REG) == SUCCESS_MARKER;
             let normal = emu.cpu.reg(NORMAL_REG) == NORMAL_MARKER;
             if success {
@@ -197,9 +198,8 @@ fn classify_trial(outcome: RunOutcome, emu: &Emu) -> Outcome {
                 Outcome::Failed
             }
         }
-        RunOutcome::Stop { .. } => Outcome::Failed,
-        RunOutcome::StepLimit { .. } => Outcome::Failed,
-        RunOutcome::Fault { fault, .. } => Outcome::from_fault(&fault),
+        Some(Ok(_)) | None => Outcome::Failed,
+        Some(Err(fault)) => Outcome::from_fault(&fault),
     }
 }
 
@@ -211,88 +211,57 @@ fn classify_trial(outcome: RunOutcome, emu: &Emu) -> Outcome {
 /// and the differential tests pin the two paths to each other.
 pub fn run_perturbed(case: &TestCase, hw: u16, cfg: Config) -> Outcome {
     let mut emu = case.instantiate(hw, cfg);
-    let outcome = emu.run(TRIAL_STEPS);
-    classify_trial(outcome, &emu)
+    let end = match emu.run(TRIAL_STEPS) {
+        RunOutcome::Stop { reason, .. } => Some(Ok(reason)),
+        RunOutcome::Fault { fault, .. } => Some(Err(fault)),
+        RunOutcome::StepLimit { .. } => None,
+    };
+    classify_trial(end, &emu)
 }
 
-/// The sweep hot path: one booted emulator and one predecoded micro-op
-/// table, replayed for every perturbed halfword of a test case.
+/// The sweep hot path: a [`Replay`] of the test case that pokes each
+/// perturbed halfword over the target.
 ///
 /// The snapshot is taken at the first fetch the perturbation can
-/// influence, not at reset: execution up to the target instruction never
-/// reads the target halfword, so it is identical for every trial and is
-/// paid once at construction instead of 2^16 times. The per-trial step
-/// budget shrinks by the same amount, keeping the total cap — and thus
-/// every step-limit classification — identical to [`run_perturbed`].
-///
-/// Per trial it restores that snapshot (region contents are only copied
-/// back when the previous trial actually stored to memory), pokes the
-/// perturbed halfword over the target, and dispatches from the table —
-/// live decode happens only at the two slots whose meaning the
-/// perturbation can change ([`PredecodedImage::invalidate`]). A trial
-/// that runs off the snippet into zero-filled flash slides through it in
-/// one step ([`Emu::slide`]).
+/// influence: the target itself, or the halfword before it, since a
+/// 32-bit encoding starting there consumes the target as its second
+/// half. Execution before then must not read the target halfword as
+/// data. The table is [`TestCase::predecode`]'s, so only the slots whose
+/// meaning the perturbation can change decode live, and a trial that
+/// runs off the snippet slides through the zero fill after it.
 #[derive(Debug)]
 pub struct PerturbRunner {
-    emu: Emu,
-    snap: Snapshot,
-    image: PredecodedImage,
+    replay: Replay,
     target_addr: u32,
-    /// `TRIAL_STEPS` minus the steps already replayed into the snapshot.
-    budget: u64,
 }
 
 impl PerturbRunner {
-    /// Boots `case` once and prepares the snapshot + micro-op table.
+    /// Boots `case` once and prepares the snapshot and micro-op table.
     pub fn new(case: &TestCase, cfg: Config) -> PerturbRunner {
-        PerturbRunner::with_image(case, cfg, case.predecode(cfg))
-    }
-
-    /// Like [`PerturbRunner::new`] with a pre-built (shared) image, as
-    /// produced by [`TestCase::predecode`] — the target address is
-    /// already invalidated there.
-    pub fn with_image(case: &TestCase, cfg: Config, image: PredecodedImage) -> PerturbRunner {
         let target = case.target_addr;
-        let mut emu = case.instantiate(case.target_halfword(), cfg);
-        // Advance to the target before snapshotting. The stop condition
-        // includes `target - 2`: a 32-bit encoding starting there would
-        // consume the target halfword as its second half, so that fetch
-        // is already perturbable. A stop or fault before the target
-        // (no snippet does this, but the harness accepts arbitrary
-        // programs) falls back to the reset-state snapshot.
-        let mut clean = true;
-        while emu.pc() != target && emu.pc() != target.wrapping_sub(2) && emu.steps() < TRIAL_STEPS
-        {
-            match emu.step() {
-                Ok(StepOutcome::Step(_)) => {}
-                _ => {
-                    clean = false;
-                    break;
-                }
-            }
-        }
-        if !clean {
-            emu = case.instantiate(case.target_halfword(), cfg);
-        }
-        let budget = TRIAL_STEPS - emu.steps();
-        let snap = emu.snapshot();
-        PerturbRunner { emu, snap, image, target_addr: target, budget }
+        let replay = Replay::new(
+            || case.instantiate(case.target_halfword(), cfg),
+            case.predecode(cfg),
+            TRIAL_STEPS,
+            None,
+            |pc| pc == target || pc == target.wrapping_sub(2),
+        );
+        PerturbRunner { replay, target_addr: target }
     }
 
     /// Runs one perturbed trial and classifies it. Equivalent to
     /// [`run_perturbed`] on the same inputs, per the differential tests.
     pub fn run(&mut self, hw: u16) -> Outcome {
-        self.emu.restore(&self.snap);
-        self.emu.mem.load(self.target_addr, &hw.to_le_bytes()).expect("target mapped");
-        let outcome = self.emu.run_predecoded(self.budget, &self.image);
-        classify_trial(outcome, &self.emu)
+        let mut trial = self.replay.poke(self.target_addr, hw);
+        self.replay.run(&mut trial, |_, _| false);
+        classify_trial(trial.end, self.replay.emu())
     }
 }
 
-/// Perturbed halfwords per worker chunk. A predecoded trial costs about
-/// 80 ns (`BENCH_fig2.json`, `trial/predecoded`), so a chunk of this size
-/// still amortizes its runner setup and dispatch, while a panel's
-/// largest distinct set (2^16 halfwords, XOR) splits into 256 work units.
+/// Perturbed halfwords per worker chunk. A chunk of this many trials
+/// (`BENCH_fig2.json`, stage `trial/predecoded`) amortizes its runner
+/// setup and dispatch, while a panel's largest distinct set (2^16
+/// halfwords, XOR) splits into 256 work units.
 const HALFWORD_CHUNK: usize = 256;
 
 /// The outcome of every perturbed halfword a sweep needs, indexed by
@@ -375,13 +344,12 @@ impl HalfwordOutcomes {
 /// a [`PerturbRunner`] per worker chunk.
 fn case_outcomes(
     case: &TestCase,
-    image: &PredecodedImage,
     direction: Direction,
     masks: impl IntoIterator<Item = u32>,
     cfg: Config,
 ) -> HalfwordOutcomes {
     HalfwordOutcomes::run(case.target_halfword(), direction, masks, || {
-        let mut runner = PerturbRunner::with_image(case, cfg, image.clone());
+        let mut runner = PerturbRunner::new(case, cfg);
         move |hw| runner.run(hw)
     })
 }
@@ -396,21 +364,8 @@ fn case_outcomes(
 /// and the tally is identical to the serial interpreter sweep bit for
 /// bit at any worker count (see `parallel_sweep_matches_serial` below).
 pub fn sweep_k(case: &TestCase, direction: Direction, k: u32, cfg: Config) -> Tally {
-    sweep_k_with(case, &case.predecode(cfg), direction, k, cfg)
-}
-
-/// [`sweep_k`] with a caller-provided predecoded image, so a full
-/// [`sweep_case`] (and the campaign engine's shards) predecode each test
-/// case exactly once instead of once per k.
-pub fn sweep_k_with(
-    case: &TestCase,
-    image: &PredecodedImage,
-    direction: Direction,
-    k: u32,
-    cfg: Config,
-) -> Tally {
     let masks = ChooseBits::new(16, k);
-    case_outcomes(case, image, direction, masks.clone(), cfg).tally(masks)
+    case_outcomes(case, direction, masks.clone(), cfg).tally(masks)
 }
 
 /// The serial reference implementation of [`sweep_k`] — a fresh
@@ -452,22 +407,12 @@ impl SweepResult {
     }
 }
 
-/// Full sweep over `k = 0..=16` for one case, predecoding the snippet
-/// once and running each distinct perturbed halfword of the whole 2^16
-/// mask space once ([`HalfwordOutcomes`]) for every k.
+/// Full sweep over `k = 0..=16` for one case, running each distinct
+/// perturbed halfword of the whole 2^16 mask space once
+/// ([`HalfwordOutcomes`]) for every k.
 pub fn sweep_case(case: &TestCase, direction: Direction, cfg: Config) -> SweepResult {
-    sweep_case_with(case, &case.predecode(cfg), direction, cfg)
-}
-
-/// [`sweep_case`] with a caller-provided predecoded image.
-pub fn sweep_case_with(
-    case: &TestCase,
-    image: &PredecodedImage,
-    direction: Direction,
-    cfg: Config,
-) -> SweepResult {
     let masks = 0..1u32 << 16;
-    let outcomes = case_outcomes(case, image, direction, masks.clone(), cfg);
+    let outcomes = case_outcomes(case, direction, masks.clone(), cfg);
     let mut per_k = vec![Tally::default(); 17];
     for mask in masks {
         per_k[mask.count_ones() as usize].record(outcomes.outcome(mask));

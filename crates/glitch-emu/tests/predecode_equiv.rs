@@ -6,8 +6,8 @@
 use gd_emu::Config;
 use gd_glitch_emu::masks::ChooseBits;
 use gd_glitch_emu::{
-    all_branch_cases, run_perturbed, sweep_case_with, sweep_k_serial, Direction, PerturbRunner,
-    Tally, TestCase,
+    all_branch_cases, run_perturbed, sweep_case, sweep_k_serial, Direction, PerturbRunner, Tally,
+    TestCase,
 };
 
 /// The (direction, config) pairs of the four Figure 2 panels.
@@ -67,7 +67,7 @@ fn memoized_case_sweep_matches_serial_per_k() {
     assert_ne!(most.name, fewest.name);
     for case in [most, fewest] {
         for (direction, cfg) in panels() {
-            let swept = sweep_case_with(case, &case.predecode(cfg), direction, cfg);
+            let swept = sweep_case(case, direction, cfg);
             let serial: Vec<Tally> =
                 (0..=16).map(|k| sweep_k_serial(case, direction, k, cfg)).collect();
             assert_eq!(swept.per_k, serial, "{} {direction:?} {cfg:?}", case.name);

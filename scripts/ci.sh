@@ -35,6 +35,13 @@ cargo test --offline -q
 echo "==> order-2 fork walk = reference over the full pair space"
 cargo test --release --offline -q -p gd-faultsim --test fork_walk -- --ignored
 
+# The trial kernel against the interpreter over every live
+# representative of every fault model, on the boot image and the
+# ingested demo image: each faultsim trial must classify as one live
+# run from reset. Tier-1 checks a strided sample.
+echo "==> faultsim trials = interpreter over the full fault space"
+cargo test --release --offline -q -p gd-bench --test trial_oracle -- --ignored
+
 # Every experiment binary must regenerate its committed golden output
 # byte for byte at GD_THREADS=1/2/8. Tier-1 (`cargo test`) walks the
 # cheap rows of the golden manifest; its expensive rows (gd-multifault,
