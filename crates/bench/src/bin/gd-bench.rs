@@ -17,6 +17,10 @@
 //!   `GD_BENCH_TOLERANCE` (default 3.0×) of the committed ones, gated
 //!   speedups at their floors. `scripts/ci.sh` runs this with
 //!   `GD_BENCH_SAMPLES=5` as the bench smoke.
+//!
+//! Naming artifacts (`gd-bench table1`, `gd-bench --check fig2
+//! multifault`) measures, rewrites or checks only those; the other
+//! files are left as committed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,7 +30,10 @@ use gd_bench::outln;
 use gd_bench::timing::{fmt_duration, Harness, Measurement};
 use gd_bench::trajectory::{self, Metric, Speedup};
 use gd_campaign::json::Json;
-use gd_chipwhisperer::{scan_cell, scan_grid_serial, targets, Device, FaultModel};
+use gd_chipwhisperer::{
+    full_grid, run_attack, scan_cell, scan_grid_serial, targets, AttemptRunner, Device, FaultModel,
+    GlitchParams,
+};
 use gd_emu::Config;
 use gd_glitch_emu::masks::ChooseBits;
 use gd_glitch_emu::{
@@ -165,16 +172,27 @@ fn bench_fig2(h: &Harness) -> Json {
 ///
 /// `scan_cell/reference` is the boot-per-attempt oracle
 /// (`scan_grid_serial` over that one cycle); `scan_cell/fast` is
-/// `scan_cell`, which boots once per worker chunk, restores per attempt,
-/// and runs the unglitched baseline once for every point that cannot
-/// fault. Both run on one thread, so their ratio measures the scan
-/// itself, not thread scaling.
+/// `scan_cell`, which boots once per worker, restores per attempt, and
+/// runs the unglitched baseline once for every point that cannot fault.
+/// Both run on one thread, so their ratio measures the scan itself, not
+/// thread scaling.
+///
+/// `attempts/oracle` and `attempts/settled` run the same slice of that
+/// cell (every point that can fault) through `run_attack`, which boots
+/// per attempt and steps every instruction to the budget, and through one
+/// `AttemptRunner`, which restores per attempt and settles a spin once
+/// the glitch window has passed.
 fn bench_table1(h: &Harness) -> Json {
     let model = FaultModel::default();
     let (name, src) = targets::table1_guards()[0];
     let reg = post_mortem_reg(name);
     let spec = guard_spec();
     let dev = Device::from_asm(src).expect("guard assembles");
+    let slice: Vec<(u64, GlitchParams)> = (1..)
+        .zip(full_grid())
+        .map(|(boot, (w, o))| (boot, GlitchParams::single(0, w, o)))
+        .filter(|(_, params)| model.may_fault(params))
+        .collect();
 
     let stages = vec![
         h.measure("scan_cell/reference", || {
@@ -183,6 +201,19 @@ fn bench_table1(h: &Harness) -> Json {
         h.measure("scan_cell/fast", || {
             gd_exec::with_threads(1, || scan_cell(&dev, &model, 0, 0, 1, &spec, Some(reg)))
         }),
+        h.measure("attempts/oracle", || {
+            let run = |&(boot, params): &(u64, GlitchParams)| {
+                run_attack(&dev, &model, params, boot, &spec, None).outcome
+            };
+            slice.iter().map(run).collect::<Vec<_>>()
+        }),
+        h.measure("attempts/settled", || {
+            let mut runner = AttemptRunner::new(&dev);
+            let mut run = |&(boot, params): &(u64, GlitchParams)| {
+                runner.run(&model, params, boot, &spec, None)
+            };
+            slice.iter().map(&mut run).collect::<Vec<_>>()
+        }),
     ];
     for m in &stages {
         print_measurement(m);
@@ -190,12 +221,20 @@ fn bench_table1(h: &Harness) -> Json {
     trajectory::doc(
         "table1",
         &stages,
-        &[Speedup {
-            name: "scan_cell_fast",
-            baseline: "scan_cell/reference",
-            fast: "scan_cell/fast",
-            min_milli: Some(3000),
-        }],
+        &[
+            Speedup {
+                name: "scan_cell_fast",
+                baseline: "scan_cell/reference",
+                fast: "scan_cell/fast",
+                min_milli: Some(3000),
+            },
+            Speedup {
+                name: "attempt_settled",
+                baseline: "attempts/oracle",
+                fast: "attempts/settled",
+                min_milli: Some(2500),
+            },
+        ],
     )
 }
 
@@ -323,14 +362,33 @@ fn write_artifact(artifact: &str, doc: &Json) -> bool {
     }
 }
 
+/// Measures one artifact's stages into its trajectory document.
+type Bench = fn(&Harness) -> Json;
+
+/// Every artifact with its measurement, in file order.
+const ARTIFACTS: [(&str, Bench); 3] =
+    [("fig2", bench_fig2), ("table1", bench_table1), ("multifault", bench_multifault)];
+
 fn main() -> ExitCode {
-    let check_mode = std::env::args().skip(1).any(|a| a == "--check");
+    let (flags, named): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a.starts_with("--"));
+    let check_mode = flags.iter().any(|a| a == "--check");
+    let unknown: Vec<&String> = flags
+        .iter()
+        .filter(|a| *a != "--check")
+        .chain(named.iter().filter(|a| !ARTIFACTS.iter().any(|(name, _)| name == a)))
+        .collect();
+    if !unknown.is_empty() {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("usage: gd-bench [--check] [{}]...; unknown {unknown:?}", names.join("|"));
+        return ExitCode::FAILURE;
+    }
     let h = Harness::from_env();
-    let docs = [
-        ("fig2", bench_fig2(&h)),
-        ("table1", bench_table1(&h)),
-        ("multifault", bench_multifault(&h)),
-    ];
+    let docs: Vec<(&str, Json)> = ARTIFACTS
+        .iter()
+        .filter(|(name, _)| named.is_empty() || named.iter().any(|n| n == name))
+        .map(|&(name, bench)| (name, bench(&h)))
+        .collect();
 
     let mut ok = true;
     if check_mode {

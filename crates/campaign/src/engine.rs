@@ -139,7 +139,8 @@ fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             cache_hits: gd_obs::counter(
                 "gd_campaign_cache_hits_total",
-                "campaigns satisfied from the content-addressed result cache",
+                "campaigns satisfied from the content-addressed result cache \
+                 (or, in the service, from a finished job with the same key)",
                 &[],
             ),
             cache_misses: gd_obs::counter(
@@ -174,6 +175,13 @@ fn engine_metrics() -> &'static EngineMetrics {
             ),
         }
     })
+}
+
+/// Counts one campaign answered from an already finished result with
+/// its cache key, outside [`Engine::run_with`] (the service does this
+/// at submit time).
+pub(crate) fn record_cache_hit() {
+    engine_metrics().cache_hits.inc();
 }
 
 /// Progress of a running campaign, reported to [`Engine::run_with`]

@@ -4,7 +4,7 @@
 //!
 //! | Route | Effect |
 //! |---|---|
-//! | `POST /campaigns` | body = spec JSON; enqueue; `202 {"id": n}`, or `429` when the queue is full |
+//! | `POST /campaigns` | body = spec JSON; enqueue; `202 {"id": n}`, or `429` when the queue is full; a spec whose cache key a finished job holds is `done` at once |
 //! | `GET /campaigns/{id}` | job status: `queued` / `running` (+ shard progress) / `done` / `failed`, with `elapsed_ms` |
 //! | `GET /campaigns/{id}/results` | the finished result as JSON, or with `?format=text` the exact legacy report bytes; `409` + the failure message for a failed campaign, `404` only for unknown ids |
 //! | `GET /metrics` | every `gd_obs` metric family in the Prometheus text format |
@@ -19,6 +19,10 @@
 //! slow-dribbling clients), a write timeout on responses, and a short
 //! back-off when `accept` itself fails persistently (e.g. EMFILE)
 //! instead of a 100 % CPU error spin.
+//!
+//! A submitted spec that a finished job already answers (the same
+//! [`CampaignSpec::cache_key`]) does not queue behind the running
+//! campaign: it is done at submit and shares that job's result.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -30,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use gd_obs::Timer;
 
-use crate::engine::{CampaignResult, Engine};
+use crate::engine::{record_cache_hit, CampaignResult, Engine};
 use crate::http::{
     read_request_deadline, write_response, write_response_with, Request, RequestError,
 };
@@ -119,7 +123,8 @@ fn service_metrics() -> &'static ServiceMetrics {
         ),
         campaign_ms: gd_obs::histogram(
             "gd_campaign_duration_ms",
-            "wall time per campaign run by the service worker, milliseconds",
+            "wall time per campaign run by the service worker, milliseconds \
+             (0 for one answered at submit from a finished job)",
             &[],
         ),
     })
@@ -163,7 +168,8 @@ struct JobRecord {
     state: JobState,
     done: u32,
     total: u32,
-    result: Option<CampaignResult>,
+    /// Set when done; shared with later jobs answered from it.
+    result: Option<Arc<CampaignResult>>,
     /// When the worker picked the job up (None while queued).
     started: Option<Instant>,
     /// Final wall time, frozen when the job completes or fails.
@@ -321,7 +327,7 @@ fn worker_loop(inner: &Inner) {
                         elapsed_ms = elapsed_ms,
                     );
                     job.state = JobState::Done;
-                    job.result = Some(result);
+                    job.result = Some(Arc::new(result));
                 }
                 Err(e) => {
                     gd_obs::warn!(
@@ -459,28 +465,52 @@ fn submit(inner: &Inner, request: &Request) -> Response {
         }
         None => full,
     };
+    // A spec without a key fails in the worker, as it always has.
+    let key = spec.cache_key().ok();
     let mut state = inner.state.lock().unwrap();
-    if state.queue.len() >= inner.queue_limit {
+    // A finished job with the same content address already holds the
+    // result: share it instead of queueing behind the running campaign.
+    let finished = key.and_then(|key| {
+        state.jobs.values().find_map(|job| {
+            job.result.as_ref().filter(|result| result.cache_key == key).map(Arc::clone)
+        })
+    });
+    if finished.is_none() && state.queue.len() >= inner.queue_limit {
         service_metrics().rejected.inc();
         return (429, "application/json".into(), error_json("queue full, retry later"));
     }
     let id = state.next_id;
     state.next_id += 1;
-    state.jobs.insert(
-        id,
-        JobRecord {
-            spec,
-            state: JobState::Queued,
-            done: 0,
-            total,
-            result: None,
-            started: None,
-            duration_ms: None,
-        },
-    );
-    state.queue.push_back(id);
-    service_metrics().queue_depth.set(state.queue.len() as i64);
-    inner.wake.notify_all();
+    let job = match finished {
+        Some(result) => {
+            record_cache_hit();
+            service_metrics().campaign_ms.observe(0);
+            JobRecord {
+                spec,
+                state: JobState::Done,
+                done: total,
+                total,
+                result: Some(result),
+                started: None,
+                duration_ms: Some(0),
+            }
+        }
+        None => {
+            state.queue.push_back(id);
+            service_metrics().queue_depth.set(state.queue.len() as i64);
+            inner.wake.notify_all();
+            JobRecord {
+                spec,
+                state: JobState::Queued,
+                done: 0,
+                total,
+                result: None,
+                started: None,
+                duration_ms: None,
+            }
+        }
+    };
+    state.jobs.insert(id, job);
     (
         202,
         "application/json".into(),

@@ -19,6 +19,8 @@
 //! Everything is a deterministic function of `(seed, width, offset, cycle,
 //! boot)`, so scans are reproducible landscapes, like real silicon.
 
+use std::sync::OnceLock;
+
 use gd_emu::LoadOverride;
 use gd_pipeline::{StageFault, Window};
 
@@ -84,18 +86,20 @@ impl FaultModel {
     /// The violation-region severity at `(width, offset)` ∈ [0, 1]:
     /// zero almost everywhere, with two narrow lobes where the inserted
     /// edge lands near a timing boundary.
+    ///
+    /// It reads nothing of the model, so the ±49% grid is computed once
+    /// per process and looked up.
     pub fn severity(&self, width: i8, offset: i8) -> f64 {
-        let w = f64::from(width);
-        let o = f64::from(offset);
-        // Lobe 1: short positive widths with early offsets.
-        let l1 = gauss(w, 12.0, 4.0) * gauss(o, -18.0, 9.0);
-        // Lobe 2: wide negative widths with late offsets.
-        let l2 = gauss(w, -34.0, 5.0) * gauss(o, 22.0, 11.0);
-        let s = l1 + 0.8 * l2;
-        if s < 0.05 {
-            0.0
-        } else {
-            s.min(1.0)
+        static GRID: OnceLock<Vec<f64>> = OnceLock::new();
+        let index = |v: i8| usize::try_from(i16::from(v) + 49).ok().filter(|&i| i < 99);
+        match (index(width), index(offset)) {
+            (Some(w), Some(o)) => {
+                let grid = GRID.get_or_init(|| {
+                    crate::scan::full_grid().into_iter().map(|(w, o)| severity_at(w, o)).collect()
+                });
+                grid[w * 99 + o]
+            }
+            _ => severity_at(width, offset),
         }
     }
 
@@ -122,8 +126,17 @@ impl FaultModel {
     /// every cycle `params` glitches, whatever the boot or window, so an
     /// attempt with `params` *is* the unglitched run.
     pub fn may_fault(&self, params: &GlitchParams) -> bool {
+        self.last_fault_cycle(params).is_some()
+    }
+
+    /// The last glitched cycle of `params` (relative to the trigger) at
+    /// which [`FaultModel::faults_at`] can return faults, whatever the
+    /// boot or window; `None` when there is none
+    /// ([`FaultModel::may_fault`] is false). An injector for `params`
+    /// cannot fault in a window that starts after it.
+    pub fn last_fault_cycle(&self, params: &GlitchParams) -> Option<u64> {
         let severity = self.severity(params.width, params.offset);
-        params.cycles().any(|g| self.occurrence(params, g, severity).is_some())
+        params.cycles().rev().find(|&g| self.occurrence(params, g, severity).is_some())
     }
 
     /// The faults induced at relative glitch cycle `g` for the pipeline
@@ -253,6 +266,22 @@ pub enum TriggerMode {
     Latest,
     /// The first trigger (one contiguous burst; §V-D long glitch).
     First,
+}
+
+/// [`FaultModel::severity`], computed.
+fn severity_at(width: i8, offset: i8) -> f64 {
+    let w = f64::from(width);
+    let o = f64::from(offset);
+    // Lobe 1: short positive widths with early offsets.
+    let l1 = gauss(w, 12.0, 4.0) * gauss(o, -18.0, 9.0);
+    // Lobe 2: wide negative widths with late offsets.
+    let l2 = gauss(w, -34.0, 5.0) * gauss(o, 22.0, 11.0);
+    let s = l1 + 0.8 * l2;
+    if s < 0.05 {
+        0.0
+    } else {
+        s.min(1.0)
+    }
 }
 
 fn gauss(x: f64, mu: f64, sigma: f64) -> f64 {

@@ -3,6 +3,7 @@
 //! glitch).
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 use gd_backend::layout;
 use gd_emu::StopReason;
@@ -123,6 +124,11 @@ fn classify(device: &Device, pipe: &Pipeline, end: RunEnd, spec: &AttackSpec) ->
 /// snapshot, which copies back only the memory pages the previous
 /// attempt stored to.
 ///
+/// An attempt that can only spin is settled, not stepped out to the
+/// budget ([`Pipeline::run_settling`]): once the glitch window has passed
+/// ([`FaultModel::last_fault_cycle`]) and the run comes back to an
+/// earlier state, its counters advance by whole periods.
+///
 /// Each attempt equals [`run_attack`] on the same inputs, outcome and
 /// final pipeline state alike; the differential tests hold the two
 /// together.
@@ -131,11 +137,8 @@ pub struct AttemptRunner<'d> {
     device: &'d Device,
     pipe: Pipeline,
     power_on: PipelineSnapshot,
-    /// NVM contents at power-on, for attempts without threaded state.
+    /// NVM contents at power-on, which threaded NVM is stored over.
     power_on_nvm: Vec<u8>,
-    /// Whether threaded NVM was loaded since the last power-on reload.
-    /// Loader writes survive restores, so it must be undone explicitly.
-    nvm_loaded: bool,
 }
 
 impl<'d> AttemptRunner<'d> {
@@ -144,7 +147,7 @@ impl<'d> AttemptRunner<'d> {
         let pipe = device.boot();
         let power_on = pipe.snapshot();
         let power_on_nvm = Device::snapshot_nvm(&pipe);
-        AttemptRunner { device, pipe, power_on, power_on_nvm, nvm_loaded: false }
+        AttemptRunner { device, pipe, power_on, power_on_nvm }
     }
 
     /// Runs one glitch attempt; same contract as [`run_attack`],
@@ -158,8 +161,12 @@ impl<'d> AttemptRunner<'d> {
         nvm: Option<&mut Vec<u8>>,
     ) -> AttackOutcome {
         self.power_on(nvm.as_deref().map(Vec::as_slice));
-        let mut injector = model.injector(params, boot);
-        let end = self.pipe.run_with(spec.max_cycles, |w: &Window| injector(w));
+        let end = self.pipe.run_settling(
+            spec.max_cycles,
+            &self.power_on,
+            model.last_fault_cycle(&params),
+            model.injector(params, boot),
+        );
         if let Some(state) = nvm {
             *state = Device::snapshot_nvm(&self.pipe);
         }
@@ -170,7 +177,7 @@ impl<'d> AttemptRunner<'d> {
     /// parameter set that cannot fault reduces to.
     pub fn run_unglitched(&mut self, spec: &AttackSpec) -> AttackOutcome {
         self.power_on(None);
-        let end = self.pipe.run(spec.max_cycles);
+        let end = self.pipe.run_settling(spec.max_cycles, &self.power_on, None, |_| Vec::new());
         classify(self.device, &self.pipe, end, spec)
     }
 
@@ -181,20 +188,49 @@ impl<'d> AttemptRunner<'d> {
 
     /// Resets to the power-on state, as [`Device::boot_with_nvm`] would
     /// boot with `nvm` (fresh NVM when `None` or empty).
+    ///
+    /// Threaded NVM goes in as stores of the bytes that differ from
+    /// power-on, not as loader writes: the next restore then reverts it,
+    /// and the settle's memory comparison sees it like any other store.
     fn power_on(&mut self, nvm: Option<&[u8]>) {
         self.pipe.restore(&self.power_on);
-        let nvm = match nvm {
-            Some(state) if !state.is_empty() => {
-                self.nvm_loaded = true;
-                state
+        let Some(nvm) = nvm else { return };
+        const SPAN: usize = 64;
+        for (k, (new, old)) in nvm.chunks(SPAN).zip(self.power_on_nvm.chunks(SPAN)).enumerate() {
+            if new == old {
+                continue;
             }
-            _ if self.nvm_loaded => {
-                self.nvm_loaded = false;
-                &self.power_on_nvm
+            for (i, (&byte, &was)) in new.iter().zip(old).enumerate() {
+                if byte != was {
+                    let addr = layout::NVM_BASE + (k * SPAN + i) as u32;
+                    self.pipe.emu.mem.write8(addr, byte).expect("nvm is mapped writable");
+                }
             }
-            _ => return,
-        };
-        self.pipe.emu.mem.load(layout::NVM_BASE, nvm).expect("nvm snapshot fits");
+        }
+    }
+}
+
+/// The [`AttemptRunner`]s of one cell: a worker takes an idle one, or
+/// boots a new one when none is idle, and hands it back after its chunk.
+/// A cell therefore boots one runner per worker, not one per chunk.
+struct Runners<'d> {
+    device: &'d Device,
+    idle: Mutex<Vec<AttemptRunner<'d>>>,
+}
+
+impl<'d> Runners<'d> {
+    fn new(device: &'d Device) -> Runners<'d> {
+        Runners { device, idle: Mutex::new(Vec::new()) }
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&mut AttemptRunner<'d>) -> R) -> R {
+        // The lock is held only for one pop or push, so even a poisoned
+        // pool holds whole runners (and each attempt restores power-on).
+        let idle = || self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut runner = idle().pop().unwrap_or_else(|| AttemptRunner::new(self.device));
+        let out = f(&mut runner);
+        idle().push(runner);
+        out
     }
 }
 
@@ -265,10 +301,13 @@ impl CellCounts {
     }
 }
 
+/// Points in [`full_grid`].
+const GRID_POINTS: u64 = 99 * 99;
+
 /// The full ±49% × ±49% grid of (width, offset) pairs — 9,801 points,
 /// exactly the paper's per-cycle scan.
 pub fn full_grid() -> Vec<(i8, i8)> {
-    let mut grid = Vec::with_capacity(99 * 99);
+    let mut grid = Vec::with_capacity(GRID_POINTS as usize);
     for width in -49i8..=49 {
         for offset in -49i8..=49 {
             grid.push((width, offset));
@@ -289,11 +328,8 @@ pub fn scan_single(
     scan_grid(device, model, cycles, 1, spec, post_reg)
 }
 
-/// Simulated attempts per worker chunk. Each chunk boots one
-/// [`AttemptRunner`] (about one attempt's worth of work) and then pays
-/// only a restore per attempt, so a chunk of this size amortizes the boot
-/// while still splitting a cell's few hundred simulated points across
-/// workers.
+/// Simulated attempts per worker chunk: small enough to split a cell's
+/// few hundred simulated points across workers.
 const ATTEMPT_CHUNK: usize = 32;
 
 /// How a cell's grid splits before any attempt runs.
@@ -330,24 +366,24 @@ impl CellPlan {
         plan
     }
 
-    /// Runs every simulated attempt through one [`AttemptRunner`] per
-    /// worker chunk; `tally` folds one finished attempt into a chunk's
-    /// partial result.
+    /// Runs every simulated attempt in worker chunks on `runners`;
+    /// `tally` folds one finished attempt into a chunk's partial result.
     fn simulate<C: Default + Send>(
         &self,
-        device: &Device,
+        runners: &Runners<'_>,
         model: &FaultModel,
         spec: &AttackSpec,
         tally: impl Fn(&mut C, AttackOutcome, &Pipeline) + Sync,
     ) -> Vec<C> {
         gd_exec::par_map_chunks(&self.simulated, ATTEMPT_CHUNK, |chunk| {
-            let mut runner = AttemptRunner::new(device);
-            let mut partial = C::default();
-            for &(boot, params) in chunk.items {
-                let outcome = runner.run(model, params, boot, spec, None);
-                tally(&mut partial, outcome, runner.pipe());
-            }
-            partial
+            runners.with(|runner| {
+                let mut partial = C::default();
+                for &(boot, params) in chunk.items {
+                    let outcome = runner.run(model, params, boot, spec, None);
+                    tally(&mut partial, outcome, runner.pipe());
+                }
+                partial
+            })
         })
     }
 }
@@ -395,7 +431,7 @@ pub fn scan_grid(
 /// window, whatever its boot number, so its attempt *is* the unglitched
 /// run: that run executes once per cell and its outcome and post-mortem
 /// register count for every such point. The rest fan out across
-/// [`gd_exec`] workers, each chunk on one boot-once [`AttemptRunner`].
+/// [`gd_exec`] workers, which boot one [`AttemptRunner`] each per cell.
 pub fn scan_cell(
     device: &Device,
     model: &FaultModel,
@@ -405,8 +441,7 @@ pub fn scan_cell(
     spec: &AttackSpec,
     post_reg: Option<Reg>,
 ) -> CellCounts {
-    let boot_base = start_index * full_grid().len() as u64;
-    let plan = CellPlan::new(model, boot_base, |width, offset| GlitchParams {
+    let plan = CellPlan::new(model, start_index * GRID_POINTS, |width, offset| GlitchParams {
         ext_offset: start,
         repeat,
         width,
@@ -418,15 +453,17 @@ pub fn scan_cell(
     for _ in 0..plan.out_of_region {
         cell.record(AttackOutcome::NoEffect, None);
     }
+    let runners = Runners::new(device);
     if plan.unglitched > 0 {
-        let mut runner = AttemptRunner::new(device);
-        let outcome = runner.run_unglitched(spec);
-        let reg = post_reg.map(|r| runner.pipe().emu.cpu.reg(r));
+        let (outcome, reg) = runners.with(|runner| {
+            let outcome = runner.run_unglitched(spec);
+            (outcome, post_reg.map(|r| runner.pipe().emu.cpu.reg(r)))
+        });
         for _ in 0..plan.unglitched {
             cell.record(outcome, reg);
         }
     }
-    let partials = plan.simulate(device, model, spec, |c: &mut CellCounts, outcome, pipe| {
+    let partials = plan.simulate(&runners, model, spec, |c: &mut CellCounts, outcome, pipe| {
         c.record(outcome, post_reg.map(|r| pipe.emu.cpu.reg(r)));
     });
     for partial in &partials {
@@ -520,9 +557,9 @@ pub fn scan_multi_cell(
     cycle_index: u64,
     spec: &AttackSpec,
 ) -> MultiCell {
-    let boot_base = cycle_index * full_grid().len() as u64;
-    let plan =
-        CellPlan::new(model, boot_base, |width, offset| GlitchParams::single(cycle, width, offset));
+    let plan = CellPlan::new(model, cycle_index * GRID_POINTS, |width, offset| {
+        GlitchParams::single(cycle, width, offset)
+    });
     let mut cell = MultiCell {
         attempts: plan.out_of_region + plan.unglitched + plan.simulated.len() as u64,
         partial: 0,
@@ -533,15 +570,14 @@ pub fn scan_multi_cell(
         _ if pipe.trigger_cycles().len() >= 2 => c.partial += 1,
         _ => {}
     };
+    let runners = Runners::new(device);
     if plan.unglitched > 0 {
-        let mut runner = AttemptRunner::new(device);
-        let outcome = runner.run_unglitched(spec);
         let mut baseline = MultiCell::default();
-        record(&mut baseline, outcome, runner.pipe());
+        runners.with(|runner| record(&mut baseline, runner.run_unglitched(spec), runner.pipe()));
         cell.partial += baseline.partial * plan.unglitched;
         cell.full += baseline.full * plan.unglitched;
     }
-    for partial in &plan.simulate(device, model, spec, record) {
+    for partial in &plan.simulate(&runners, model, spec, record) {
         cell.merge(partial);
     }
     cell

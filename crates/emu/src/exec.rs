@@ -350,6 +350,13 @@ impl Emu {
         self.steps
     }
 
+    /// Advances the step count by `n` without executing anything: for a
+    /// caller that proved (see [`Emu::recurs`]) those steps would leave
+    /// every other part of the state as it is.
+    pub fn skip_steps(&mut self, n: u64) {
+        self.steps += n;
+    }
+
     /// Arms an [`Injection`] (see [`InjectKind`] for fault semantics).
     ///
     /// Multiple injections may be armed at once (a multi-fault trial);
@@ -667,9 +674,20 @@ impl Emu {
     /// Panics if this emulator was last restored to another snapshot
     /// than `snap`, or `fork` was taken relative to another.
     pub fn same_state(&self, snap: &Snapshot, fork: &Fork) -> bool {
+        self.steps == fork.steps && self.recurs(snap, fork)
+    }
+
+    /// [`Emu::same_state`] without the step count: whether this emulator
+    /// is back in the state `fork` captured, however many steps later.
+    /// Nothing but the count tells the two apart, so a run that recurs
+    /// with no outside input repeats the steps between them forever.
+    ///
+    /// # Panics
+    ///
+    /// As [`Emu::same_state`].
+    pub fn recurs(&self, snap: &Snapshot, fork: &Fork) -> bool {
         let armed = |injections: &[Injection]| injections.iter().any(Injection::is_armed);
         self.pc == fork.pc
-            && self.steps == fork.steps
             && self.cpu == fork.cpu
             && self.load_override == fork.load_override
             && !armed(&self.injections)

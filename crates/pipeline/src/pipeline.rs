@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use gd_emu::{Emu, Fault, LoadOverride, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Emu, Fault, Fork, LoadOverride, Snapshot, StepOutcome, StopReason};
 use gd_thumb::Instr;
 
 use crate::timing::Timing;
@@ -105,6 +105,16 @@ pub struct PipelineSnapshot {
     pending_fetch: VecDeque<(usize, u16)>,
 }
 
+/// A quiet instruction boundary that [`Pipeline::run_settling`] checks
+/// later boundaries against.
+struct Mark {
+    emu: Fork,
+    cycle: u64,
+    retired: u64,
+    steps: u64,
+    triggers: usize,
+}
+
 impl Pipeline {
     /// Wraps an emulator (PC and SP already set) with default timing.
     pub fn new(emu: Emu) -> Pipeline {
@@ -157,6 +167,95 @@ impl Pipeline {
             }
         }
         RunEnd::CycleLimit
+    }
+
+    /// [`Pipeline::run_with`] for a run restored to `snap` whose injector
+    /// faults only in windows that start at most `last_fault` cycles
+    /// after the latest trigger (`None`: it never faults). The run ends
+    /// exactly as `run_with` would, but one that can only spin is settled
+    /// instead of stepped out to `max_cycles`.
+    ///
+    /// An instruction boundary is *quiet* when the injector cannot fault
+    /// there (no trigger yet, or more than `last_fault` cycles past the
+    /// latest one) and no fetch or load corruption is in flight. Between
+    /// quiet boundaries, Brent's cycle detection looks for the run coming
+    /// back to an earlier one: the same PC, CPU and memory contents
+    /// ([`Emu::recurs`]) and as many trigger events. The next
+    /// instruction depends on that state alone, so the run repeats the
+    /// instructions between the two until the budget ends. Cycle, retired
+    /// and step counts then advance by as many whole periods as keep the
+    /// cycle below `max_cycles`, and the rest runs normally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline was last restored to another snapshot than
+    /// `snap` (see [`Emu::recurs`]).
+    pub fn run_settling(
+        &mut self,
+        max_cycles: u64,
+        snap: &PipelineSnapshot,
+        last_fault: Option<u64>,
+        mut injector: impl FnMut(&Window) -> Vec<StageFault>,
+    ) -> RunEnd {
+        // Brent: the mark moves to the current boundary whenever `since`
+        // reaches `power`, which doubles each time.
+        let mut mark: Option<Mark> = None;
+        let (mut since, mut power) = (0u64, 1u64);
+        while self.cycle < max_cycles {
+            if !self.quiet(last_fault) {
+                mark = None;
+            } else if let Some(m) = &mark {
+                if self.trigger_cycles.len() == m.triggers && self.emu.recurs(&snap.emu, &m.emu) {
+                    self.skip_periods(m, max_cycles);
+                    return self.run_with(max_cycles, injector);
+                }
+                if since == power {
+                    mark = Some(self.mark());
+                    (since, power) = (0, power * 2);
+                }
+            } else {
+                mark = Some(self.mark());
+                (since, power) = (0, 1);
+            }
+            since += 1;
+            match self.step_with(&mut injector) {
+                Ok(Some(end)) => return end,
+                Ok(None) => {}
+                Err(fault) => return RunEnd::Fault(fault),
+            }
+        }
+        RunEnd::CycleLimit
+    }
+
+    /// Whether no fault can reach the next instruction: see
+    /// [`Pipeline::run_settling`].
+    fn quiet(&self, last_fault: Option<u64>) -> bool {
+        self.pending_fetch.is_empty()
+            && self.emu.load_override.is_none()
+            && match (self.trigger_cycles.last(), last_fault) {
+                (Some(t), Some(g)) => self.cycle.saturating_sub(*t) > g,
+                _ => true,
+            }
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            emu: self.emu.fork(),
+            cycle: self.cycle,
+            retired: self.retired,
+            steps: self.emu.steps(),
+            triggers: self.trigger_cycles.len(),
+        }
+    }
+
+    /// Advances the counters by whole periods of the run since `mark`,
+    /// staying below `max_cycles`.
+    fn skip_periods(&mut self, mark: &Mark, max_cycles: u64) {
+        let period = self.cycle - mark.cycle;
+        let Some(n) = (max_cycles - 1 - self.cycle).checked_div(period) else { return };
+        self.cycle += n * period;
+        self.retired += n * (self.retired - mark.retired);
+        self.emu.skip_steps(n * (self.emu.steps() - mark.steps));
     }
 
     /// Executes one instruction under the injector. `Ok(None)` means the

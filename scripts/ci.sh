@@ -42,6 +42,13 @@ cargo test --release --offline -q -p gd-faultsim --test fork_walk -- --ignored
 echo "==> faultsim trials = interpreter over the full fault space"
 cargo test --release --offline -q -p gd-bench --test trial_oracle -- --ignored
 
+# The settling attempt runner against the boot-per-attempt oracle over
+# whole cells (every Table I cell, a Table II and a Table III cell, and
+# Table VI slices with NVM threaded): outcome, counters, CPU, trigger
+# cycles and memory per attempt. Tier-1 checks strided slices.
+echo "==> settled glitch attempts = run_attack over whole cells"
+cargo test --release --offline -q -p gd-bench --test attempt_oracle -- --ignored
+
 # Every experiment binary must regenerate its committed golden output
 # byte for byte at GD_THREADS=1/2/8. Tier-1 (`cargo test`) walks the
 # cheap rows of the golden manifest; its expensive rows (gd-multifault,
