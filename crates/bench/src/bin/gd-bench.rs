@@ -18,10 +18,15 @@
 //!   speedups at their floors. `scripts/ci.sh` runs this with
 //!   `GD_BENCH_SAMPLES=5` as the bench smoke.
 //!
+//! The stages a speedup compares are measured interleaved, sample by
+//! sample ([`Harness::measure_interleaved`]), so drift on a shared host
+//! moves both medians of a gated ratio alike.
+//!
 //! Naming artifacts (`gd-bench table1`, `gd-bench --check fig2
 //! multifault`) measures, rewrites or checks only those; the other
 //! files are left as committed.
 
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,58 +85,67 @@ fn bench_fig2(h: &Harness) -> Json {
     let one_case = &cases[0];
     let one_mask = direction.apply(one_case.target_halfword(), 0x0004);
 
-    let mut stages = Vec::new();
-    stages.push(h.measure("trial/interpreter", || run_perturbed(one_case, one_mask, cfg)));
     let mut runner = PerturbRunner::new(one_case, cfg);
-    stages.push(h.measure("trial/predecoded", || runner.run(one_mask)));
-    stages.push(h.measure("sweep/interpreter", || {
-        let mut tally = Tally::default();
-        for case in &cases {
-            for k in 0..=16 {
-                tally.merge(&sweep_k_serial(case, direction, k, cfg));
-            }
-        }
-        tally
-    }));
-    stages.push(h.measure("sweep/predecoded", || {
-        // The runner builds are inside the closure: a real sweep pays one
-        // per case, so the measured time amortizes them honestly.
-        let mut tally = Tally::default();
-        for case in &cases {
-            let hw = case.target_halfword();
-            let mut runner = PerturbRunner::new(case, cfg);
-            for k in 0..=16 {
-                for mask in ChooseBits::new(16, k) {
-                    tally.record(runner.run(direction.apply(hw, mask as u16)));
+    let mut stages = h.measure_interleaved(&mut [
+        ("trial/interpreter", &mut || {
+            black_box(run_perturbed(one_case, one_mask, cfg));
+        }),
+        ("trial/predecoded", &mut || {
+            black_box(runner.run(one_mask));
+        }),
+    ]);
+    stages.extend(h.measure_interleaved(&mut [
+        ("sweep/interpreter", &mut || {
+            let mut tally = Tally::default();
+            for case in &cases {
+                for k in 0..=16 {
+                    tally.merge(&sweep_k_serial(case, direction, k, cfg));
                 }
             }
-        }
-        tally
-    }));
-    stages.push(h.measure("sweep/memo", || {
-        gd_exec::with_threads(1, || {
-            let sweep = |case| sweep_case(case, direction, cfg);
-            cases.iter().map(sweep).collect::<Vec<_>>()
-        })
-    }));
-    stages.push(h.measure("sweep_or/interpreter", || {
-        let mut tally = Tally::default();
-        for k in 0..=16 {
-            tally.merge(&sweep_k_serial(one_case, Direction::Or, k, cfg));
-        }
-        tally
-    }));
-    stages.push(h.measure("sweep_or/predecoded", || {
-        let hw = one_case.target_halfword();
-        let mut tally = Tally::default();
-        let mut runner = PerturbRunner::new(one_case, cfg);
-        for k in 0..=16 {
-            for mask in ChooseBits::new(16, k) {
-                tally.record(runner.run(Direction::Or.apply(hw, mask as u16)));
+            black_box(tally);
+        }),
+        ("sweep/predecoded", &mut || {
+            // The runner builds are inside the closure: a real sweep pays
+            // one per case, so the measured time amortizes them honestly.
+            let mut tally = Tally::default();
+            for case in &cases {
+                let hw = case.target_halfword();
+                let mut runner = PerturbRunner::new(case, cfg);
+                for k in 0..=16 {
+                    for mask in ChooseBits::new(16, k) {
+                        tally.record(runner.run(direction.apply(hw, mask as u16)));
+                    }
+                }
             }
-        }
-        tally
-    }));
+            black_box(tally);
+        }),
+        ("sweep/memo", &mut || {
+            black_box(gd_exec::with_threads(1, || {
+                let sweep = |case| sweep_case(case, direction, cfg);
+                cases.iter().map(sweep).collect::<Vec<_>>()
+            }));
+        }),
+    ]));
+    stages.extend(h.measure_interleaved(&mut [
+        ("sweep_or/interpreter", &mut || {
+            let mut tally = Tally::default();
+            for k in 0..=16 {
+                tally.merge(&sweep_k_serial(one_case, Direction::Or, k, cfg));
+            }
+            black_box(tally);
+        }),
+        ("sweep_or/predecoded", &mut || {
+            let hw = one_case.target_halfword();
+            let mut tally = Tally::default();
+            let mut runner = PerturbRunner::new(one_case, cfg);
+            for k in 0..=16 {
+                for mask in ChooseBits::new(16, k) {
+                    tally.record(runner.run(Direction::Or.apply(hw, mask as u16)));
+                }
+            }
+            black_box(tally);
+        }),
+    ]));
     for m in &stages {
         print_measurement(m);
     }
@@ -194,27 +208,33 @@ fn bench_table1(h: &Harness) -> Json {
         .filter(|(_, params)| model.may_fault(params))
         .collect();
 
-    let stages = vec![
-        h.measure("scan_cell/reference", || {
-            gd_exec::with_threads(1, || scan_grid_serial(&dev, &model, 0..1, 1, &spec, Some(reg)))
+    let mut stages = h.measure_interleaved(&mut [
+        ("scan_cell/reference", &mut || {
+            black_box(gd_exec::with_threads(1, || {
+                scan_grid_serial(&dev, &model, 0..1, 1, &spec, Some(reg))
+            }));
         }),
-        h.measure("scan_cell/fast", || {
-            gd_exec::with_threads(1, || scan_cell(&dev, &model, 0, 0, 1, &spec, Some(reg)))
+        ("scan_cell/fast", &mut || {
+            black_box(gd_exec::with_threads(1, || {
+                scan_cell(&dev, &model, 0, 0, 1, &spec, Some(reg))
+            }));
         }),
-        h.measure("attempts/oracle", || {
+    ]);
+    stages.extend(h.measure_interleaved(&mut [
+        ("attempts/oracle", &mut || {
             let run = |&(boot, params): &(u64, GlitchParams)| {
                 run_attack(&dev, &model, params, boot, &spec, None).outcome
             };
-            slice.iter().map(run).collect::<Vec<_>>()
+            black_box(slice.iter().map(run).collect::<Vec<_>>());
         }),
-        h.measure("attempts/settled", || {
+        ("attempts/settled", &mut || {
             let mut runner = AttemptRunner::new(&dev);
             let mut run = |&(boot, params): &(u64, GlitchParams)| {
                 runner.run(&model, params, boot, &spec, None)
             };
-            slice.iter().map(&mut run).collect::<Vec<_>>()
+            black_box(slice.iter().map(&mut run).collect::<Vec<_>>());
         }),
-    ];
+    ]));
     for m in &stages {
         print_measurement(m);
     }
@@ -250,7 +270,7 @@ fn bench_multifault(h: &Harness) -> Json {
     let image = &campaign.image;
     let cfg = campaign.cfg;
     let (mut fork, mut reference) = (None, None);
-    let stages = vec![
+    let mut stages = vec![
         h.measure("prune/enumerate", || {
             let sites = gd_faultsim::sites(image, cfg, &gd_faultsim::SCOPE_FUNCS);
             let slots = gd_faultsim::halfword_slots(image, &gd_faultsim::SCOPE_FUNCS);
@@ -262,11 +282,13 @@ fn bench_multifault(h: &Harness) -> Json {
                 .sum::<u64>()
         }),
         h.measure("shard/order1_xor1t", || gd_faultsim::order1_shard(0)),
-        h.measure("shard/order2_bucket", || fork = Some(gd_faultsim::order2_shard(0))),
-        h.measure("shard/order2_reference", || {
+    ];
+    stages.extend(h.measure_interleaved(&mut [
+        ("shard/order2_bucket", &mut || fork = Some(gd_faultsim::order2_shard(0))),
+        ("shard/order2_reference", &mut || {
             reference = Some(gd_faultsim::order2_shard_reference(0));
         }),
-    ];
+    ]));
     for m in &stages {
         print_measurement(m);
     }

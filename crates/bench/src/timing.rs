@@ -7,7 +7,8 @@
 //! the mean per-iteration time; the harness prints the **median** of the
 //! samples, with min/max for spread. Medians over fixed-budget samples
 //! track Criterion's point estimates closely while needing nothing but
-//! `std::time::Instant`.
+//! `std::time::Instant`. Stages compared as a ratio are measured
+//! interleaved ([`Harness::measure_interleaved`]), sample by sample.
 
 use std::time::{Duration, Instant};
 
@@ -71,44 +72,67 @@ impl Harness {
     /// The closure's return value is passed through [`std::hint::black_box`]
     /// so the measured work cannot be optimized away.
     pub fn measure<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Measurement {
+        let mut stage = || {
+            std::hint::black_box(f());
+        };
+        self.measure_interleaved(&mut [(name, &mut stage)]).remove(0)
+    }
+
+    /// Times several stages sample by sample in turn — one sample of
+    /// each, then the next round — so drift on a shared host lands on
+    /// every stage alike and the ratio of two medians holds still. Each
+    /// stage warms up and calibrates its own iteration count first.
+    pub fn measure_interleaved(&self, stages: &mut [(&str, &mut dyn FnMut())]) -> Vec<Measurement> {
         // Warm up: fill caches, trigger lazy init, settle the clock —
         // and count the runs, because the warm-up doubles as the
         // calibration source below. At least one run always happens,
         // even with a zero warm-up budget.
-        let warm_start = Instant::now();
-        let mut warm_runs: u64 = 0;
-        while warm_runs == 0 || warm_start.elapsed() < self.warmup {
-            std::hint::black_box(f());
-            warm_runs += 1;
-        }
-        let warm_elapsed = warm_start.elapsed().max(Duration::from_nanos(1));
-
-        // Calibrate the per-sample iteration count from the warm-up
-        // loop's aggregate rate: a scheduler hiccup is amortized over
-        // hundreds of runs instead of skewing a single timed run (and
-        // with it every sample).
-        let per_run = (warm_elapsed.as_nanos() / u128::from(warm_runs)).max(1);
-        let iters = (self.sample_budget.as_nanos() / per_run).clamp(1, u128::from(u32::MAX)) as u32;
-
-        let samples = self.samples.max(1);
-        let mut per_iter: Vec<Duration> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(f());
+        let iters: Vec<u32> = stages
+            .iter_mut()
+            .map(|(_, f)| {
+                let warm_start = Instant::now();
+                let mut warm_runs: u64 = 0;
+                while warm_runs == 0 || warm_start.elapsed() < self.warmup {
+                    f();
+                    warm_runs += 1;
                 }
-                start.elapsed() / iters
+                let warm_elapsed = warm_start.elapsed().max(Duration::from_nanos(1));
+                // Calibrate the per-sample iteration count from the
+                // warm-up loop's aggregate rate: a scheduler hiccup is
+                // amortized over hundreds of runs instead of skewing a
+                // single timed run (and with it every sample).
+                let per_run = (warm_elapsed.as_nanos() / u128::from(warm_runs)).max(1);
+                (self.sample_budget.as_nanos() / per_run).clamp(1, u128::from(u32::MAX)) as u32
             })
             .collect();
-        per_iter.sort_unstable();
-        Measurement {
-            name: name.to_string(),
-            median: median_of(&per_iter),
-            min: per_iter[0],
-            max: per_iter[per_iter.len() - 1],
-            samples,
-            iters,
+
+        let samples = self.samples.max(1);
+        let mut per_iter: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); stages.len()];
+        for _ in 0..samples {
+            for (((_, f), &iters), times) in stages.iter_mut().zip(&iters).zip(&mut per_iter) {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                times.push(start.elapsed() / iters);
+            }
         }
+        stages
+            .iter()
+            .zip(iters)
+            .zip(per_iter)
+            .map(|(((name, _), iters), mut times)| {
+                times.sort_unstable();
+                Measurement {
+                    name: (*name).to_string(),
+                    median: median_of(&times),
+                    min: times[0],
+                    max: times[times.len() - 1],
+                    samples,
+                    iters,
+                }
+            })
+            .collect()
     }
 }
 
@@ -169,6 +193,29 @@ mod tests {
         assert_eq!(m.samples, 4);
         assert!(m.iters >= 1);
         assert!(m.min <= m.median && m.median <= m.max);
+    }
+
+    #[test]
+    fn interleaved_stages_each_get_the_full_plan() {
+        let h = Harness {
+            samples: 3,
+            sample_budget: Duration::from_micros(100),
+            warmup: Duration::from_micros(100),
+        };
+        let (mut fast, mut slow) = (0u64, 0u64);
+        let ms = h.measure_interleaved(&mut [
+            ("timing/fast", &mut || fast += 1),
+            ("timing/slow", &mut || {
+                slow += 1;
+                std::thread::sleep(Duration::from_micros(50));
+            }),
+        ]);
+        let names: Vec<&str> = ms.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["timing/fast", "timing/slow"]);
+        assert!(ms.iter().all(|m| m.samples == 3 && m.iters >= 1));
+        assert!(ms[0].iters > ms[1].iters, "each stage calibrates its own iterations");
+        assert!(ms[1].median >= Duration::from_micros(50));
+        assert!(fast > slow && slow >= 4, "warm-up plus three samples each");
     }
 
     #[test]

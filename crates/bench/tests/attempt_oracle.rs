@@ -178,10 +178,11 @@ loop:
     .pool
 ";
 
-/// In-region points at the first few glitch cycles, some of which fault.
-fn early_points(cycles: u32) -> Vec<(GlitchParams, u64)> {
+/// Every `stride`-th in-region point at the first few glitch cycles,
+/// some of which fault.
+fn early_points(cycles: u32, stride: usize) -> Vec<(GlitchParams, u64)> {
     (0..cycles)
-        .flat_map(|c| cell_points(c.into(), 61, move |w, o| GlitchParams::single(c, w, o)))
+        .flat_map(|c| cell_points(c.into(), stride, move |w, o| GlitchParams::single(c, w, o)))
         .collect()
 }
 
@@ -192,7 +193,7 @@ fn a_period_with_an_nvm_store_stall_settles_exactly() {
     let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles: 2_000_003 };
     let mut runner = AttemptRunner::new(&device);
     let (mut ours, mut theirs) = (Vec::new(), Vec::new());
-    let points = early_points(8);
+    let points = early_points(8, 61);
     assert!(points.iter().any(|(p, _)| model.may_fault(p)), "some attempts are glitched");
     for point in points {
         check(&mut runner, &device, &model, point, &spec, Some((&mut ours, &mut theirs)));
@@ -206,7 +207,7 @@ fn a_budget_that_ends_mid_period_settles_exactly() {
     let model = FaultModel::default();
     let device = Device::from_asm(targets::WHILE_NOT_A).expect("assembles");
     let mut runner = AttemptRunner::new(&device);
-    let points = early_points(6);
+    let points = early_points(6, 61);
     for max_cycles in [597, 598, 599, 600, 601, 602, 603, 604, 605] {
         let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles };
         for &point in &points {
@@ -278,11 +279,144 @@ fn a_period_that_raises_the_trigger_settles_exactly() {
     let device = Device::from_asm(TRIGGER_SPIN).expect("assembles");
     let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles: 600 };
     let mut runner = AttemptRunner::new(&device);
-    for point in early_points(6) {
+    for point in early_points(6, 61) {
         check(&mut runner, &device, &model, point, &spec, None);
     }
     let oracle = run_attack(&device, &model, GlitchParams::single(0, 0, 0), 1, &spec, None);
     assert_eq!(runner.run_unglitched(&spec), oracle.outcome);
     assert_same(runner.pipe(), &oracle.pipe, &"unglitched");
     assert!(oracle.pipe.trigger_cycles().len() > 50, "the spin re-triggers");
+}
+
+/// The trigger, then the zero-filled flash past the program: no literal
+/// pool, so the fill starts right after the store. `movs r1, #0` sets Z
+/// while `r0` holds the trigger address, so the fill is entered with N/Z
+/// disagreeing with `r0`: its first `0x0000` must execute before any of
+/// it can slide.
+const INTO_ZERO_FILL: &str = "
+    movs r0, #0x48
+    lsls r0, r0, #24
+    adds r0, #0x14
+    movs r1, #0
+    str r1, [r0]            ; trigger; the zero fill follows
+";
+
+/// The faults the oracle's injector returned, with their windows.
+fn faults_seen(
+    device: &Device,
+    model: &FaultModel,
+    (params, boot): (GlitchParams, u64),
+    spec: &AttackSpec,
+) -> Vec<(Window, StageFault)> {
+    let mut injector = model.injector(params, boot);
+    let mut seen = Vec::new();
+    device.boot().run_with(spec.max_cycles, |w: &Window| {
+        let faults = injector(w);
+        seen.extend(faults.iter().map(|&f| (*w, f)));
+        faults
+    });
+    seen
+}
+
+/// Budgets that end inside the slide: it must stop at the budget, not
+/// past it.
+#[test]
+fn a_slide_cut_off_by_the_budget_settles_exactly() {
+    let model = FaultModel::default();
+    let device = Device::from_asm(INTO_ZERO_FILL).expect("assembles");
+    let mut runner = AttemptRunner::new(&device);
+    let points = early_points(4, 61);
+    for max_cycles in [9, 10, 11, 599, 600, 601] {
+        let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles };
+        for &point in &points {
+            check(&mut runner, &device, &model, point, &spec, None);
+        }
+        let oracle = run_attack(&device, &model, GlitchParams::single(0, 0, 0), 1, &spec, None);
+        assert_eq!(runner.run_unglitched(&spec), oracle.outcome);
+        assert_same(runner.pipe(), &oracle.pipe, &max_cycles);
+        assert_eq!(oracle.pipe.cycle(), max_cycles, "the budget ends the run");
+    }
+}
+
+/// A budget past the end of flash: the slide stops at the region's end
+/// and the next fetch, from the non-executable NVM behind it, faults.
+#[test]
+fn a_slide_into_the_end_of_flash_faults_exactly() {
+    let model = FaultModel::default();
+    let device = Device::from_asm(INTO_ZERO_FILL).expect("assembles");
+    let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles: 40_000 };
+    let mut runner = AttemptRunner::new(&device);
+    for point in cell_points(2, 211, |w, o| GlitchParams::single(2, w, o)) {
+        check(&mut runner, &device, &model, point, &spec, None);
+    }
+    let oracle = run_attack(&device, &model, GlitchParams::single(0, 0, 0), 1, &spec, None);
+    assert_eq!(runner.run_unglitched(&spec), oracle.outcome);
+    assert_same(runner.pipe(), &oracle.pipe, &"unglitched");
+    assert_eq!(oracle.outcome, gd_chipwhisperer::AttackOutcome::Crash, "the fetch faults");
+    assert_eq!(oracle.pipe.emu.pc(), gd_backend::layout::NVM_BASE, "at the end of flash");
+}
+
+/// The fill is entered with N/Z disagreeing with `r0`, and some glitches
+/// skip its first `0x0000`, so the boundary after it can be quiet while
+/// N/Z still disagree: nothing may slide until a `0x0000` has executed.
+#[test]
+fn a_slide_whose_start_has_flags_disagreeing_with_r0_settles_exactly() {
+    let model = FaultModel::default();
+    let device = Device::from_asm(INTO_ZERO_FILL).expect("assembles");
+    let fill = device.entry + device.text.len() as u32;
+    let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles: 600 };
+    let mut runner = AttemptRunner::new(&device);
+    let mut skipped = 0;
+    for point in early_points(8, 5) {
+        check(&mut runner, &device, &model, point, &spec, None);
+        let seen = faults_seen(&device, &model, point, &spec);
+        skipped += usize::from(seen.iter().any(|(w, f)| w.addr == fill && *f == StageFault::Skip));
+    }
+    assert!(skipped >= 4, "{skipped} attempts skip the fill's first halfword");
+    let oracle = run_attack(&device, &model, GlitchParams::single(0, 0, 0), 1, &spec, None);
+    assert_eq!(runner.run_unglitched(&spec), oracle.outcome);
+    assert_same(runner.pipe(), &oracle.pipe, &"unglitched");
+}
+
+/// A fetch corruption poisoned inside the glitch window ripens
+/// [`FETCH_DEPTH`] instructions later, possibly past the window. Here
+/// short runs of `0x0000` sit between instructions it would change, so a
+/// slide taken before it ripens would carry it onto the wrong one.
+#[test]
+fn a_slide_reached_after_a_fetch_corruption_ripens_settles_exactly() {
+    const ZERO_RUNS: &str = "
+        movs r0, #0x48
+        lsls r0, r0, #24
+        adds r0, #0x14
+        str r0, [r0]            ; trigger
+        movs r0, r0
+        movs r0, r0
+        movs r0, r0
+        movs r2, #0xFF
+        movs r0, r0
+        movs r0, r0
+        movs r0, r0
+        movs r3, #0xFF
+        movs r0, r0
+        movs r0, r0
+        movs r0, r0
+        movs r4, #0xFF
+        movs r0, r0
+        movs r0, r0
+        movs r5, #0xFF          ; the zero fill follows
+    ";
+    let model = FaultModel::default();
+    let device = Device::from_asm(ZERO_RUNS).expect("assembles");
+    assert_eq!(device.text[8..10], [0, 0], "`movs r0, r0` is the zero halfword");
+    let spec = AttackSpec { success: SuccessCheck::Bkpt(1), max_cycles: 600 };
+    let mut runner = AttemptRunner::new(&device);
+    let mut poisoned = 0;
+    for point in early_points(8, 5) {
+        check(&mut runner, &device, &model, point, &spec, None);
+        let seen = faults_seen(&device, &model, point, &spec);
+        poisoned += usize::from(
+            seen.iter().any(|(w, f)| w.raw == 0 && matches!(f, StageFault::CorruptFetch { .. })),
+        );
+    }
+    assert!(poisoned >= 20, "{poisoned} attempts poison a fetch from a zero halfword");
 }

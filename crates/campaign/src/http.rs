@@ -6,15 +6,20 @@
 //!
 //! Deadlines are overall, not per-read: a client dribbling one header
 //! byte per socket-timeout window must not hold the service's single
-//! accept thread (the "slowloris" failure PR 3 fixed), so
-//! [`read_request_deadline`] re-arms the socket timeout with the
-//! *remaining* budget before every read and fails with
-//! [`RequestError::Timeout`] — which the service answers with `408`.
-//! Symmetrically, [`request_timeout`] bounds connect, send, and receive
-//! on the client side so a wedged server cannot hang a caller (the CLI
-//! and `Server::shutdown` both go through it).
+//! accept thread (the "slowloris" failure), so [`read_request_deadline`]
+//! re-arms the socket timeout with the *remaining* budget before every
+//! read that reaches the socket and fails with [`RequestError::Timeout`]
+//! — which the service answers with `408`. Symmetrically,
+//! [`request_timeout`] bounds connect, send, and receive on the client
+//! side so a wedged server cannot hang a caller (the CLI and
+//! `Server::shutdown` both go through it).
+//!
+//! Each message costs one socket write and, when it arrives in one
+//! segment, one socket read: a request or response is formatted into one
+//! buffer and written once, and reads go through a [`BufReader`] that
+//! arms the timeout only when its buffer is empty.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -83,18 +88,98 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Sets the socket read timeout to the time left until `deadline`, or
-/// fails with [`RequestError::Timeout`] when none is left. Re-arming
-/// before every read is what turns the per-read socket timeout into an
-/// overall deadline.
-fn arm_read(stream: &TcpStream, deadline: Instant, what: &str) -> Result<(), RequestError> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or_else(|| RequestError::Timeout(format!("timed out reading the request {what}")))?;
-    stream
-        .set_read_timeout(Some(remaining))
-        .map_err(|e| RequestError::Malformed(format!("arming read timeout: {e}")))
+/// Why an HTTP head or body could not be read off the socket.
+#[derive(Debug)]
+enum ReadError {
+    /// The overall deadline elapsed first.
+    Timeout,
+    /// The peer closed the connection.
+    Closed,
+    /// The head grew past [`MAX_HEAD`] without ending.
+    HeadTooLong,
+    /// The socket failed otherwise.
+    Io(std::io::Error),
+}
+
+/// Fills `reader`'s buffer and returns it (never empty). Only a read
+/// that reaches the socket — the buffer is empty — arms the socket read
+/// timeout with the time left until `deadline`, which turns the per-read
+/// socket timeout into an overall deadline without a `setsockopt` per
+/// buffered byte.
+fn fill<'r>(
+    reader: &'r mut BufReader<&TcpStream>,
+    deadline: Instant,
+) -> Result<&'r [u8], ReadError> {
+    while reader.buffer().is_empty() {
+        let remaining = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())
+            .ok_or(ReadError::Timeout)?;
+        reader.get_ref().set_read_timeout(Some(remaining)).map_err(ReadError::Io)?;
+        match reader.fill_buf() {
+            Ok([]) => return Err(ReadError::Closed),
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => return Err(ReadError::Timeout),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(ReadError::Io(e)),
+        }
+    }
+    Ok(reader.buffer())
+}
+
+/// Reads a message head up to and including the blank line that ends
+/// it, leaving any body bytes behind it in `reader`.
+fn read_head(reader: &mut BufReader<&TcpStream>, deadline: Instant) -> Result<Vec<u8>, ReadError> {
+    let mut head = Vec::new();
+    loop {
+        let buf = fill(reader, deadline)?;
+        let mut used = 0;
+        for &byte in buf {
+            used += 1;
+            head.push(byte);
+            if head.len() > MAX_HEAD {
+                return Err(ReadError::HeadTooLong);
+            }
+            if head.ends_with(b"\r\n\r\n") {
+                reader.consume(used);
+                return Ok(head);
+            }
+        }
+        reader.consume(used);
+    }
+}
+
+/// Reads a message body of `len` bytes, or up to the peer's close when
+/// `len` is `None`.
+fn read_body(
+    reader: &mut BufReader<&TcpStream>,
+    len: Option<usize>,
+    deadline: Instant,
+) -> Result<Vec<u8>, ReadError> {
+    let mut body = Vec::with_capacity(len.unwrap_or(0));
+    while len.is_none_or(|len| body.len() < len) {
+        let buf = match fill(reader, deadline) {
+            Err(ReadError::Closed) if len.is_none() => break,
+            read => read?,
+        };
+        let n = len.map_or(buf.len(), |len| buf.len().min(len - body.len()));
+        body.extend_from_slice(&buf[..n]);
+        reader.consume(n);
+    }
+    Ok(body)
+}
+
+/// A server-side read failure of the request `part` (`head` or `body`):
+/// a timeout is a 408, anything else a 400.
+fn request_err(e: ReadError, part: &str) -> RequestError {
+    match e {
+        ReadError::Timeout => {
+            RequestError::Timeout(format!("timed out reading the request {part}"))
+        }
+        ReadError::Closed => RequestError::Malformed(format!("connection closed mid-{part}")),
+        ReadError::HeadTooLong => RequestError::Malformed("request head exceeds limit".into()),
+        ReadError::Io(e) => RequestError::Malformed(format!("reading request {part}: {e}")),
+    }
 }
 
 /// Reads one request from `stream` with the default
@@ -120,25 +205,8 @@ pub fn read_request_deadline(
     limit: Duration,
 ) -> Result<Request, RequestError> {
     let deadline = Instant::now() + limit;
-    let mut reader = BufReader::new(stream);
-    let mut head = Vec::new();
-    // Read byte-wise up to the blank line; BufReader keeps this cheap.
-    while !head.ends_with(b"\r\n\r\n") {
-        arm_read(reader.get_ref(), deadline, "head")?;
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => return Err(RequestError::Malformed("connection closed mid-header".into())),
-            Ok(_) => head.push(byte[0]),
-            Err(e) if is_timeout(&e) => {
-                return Err(RequestError::Timeout("timed out reading the request head".into()));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(RequestError::Malformed(format!("reading request head: {e}"))),
-        }
-        if head.len() > MAX_HEAD {
-            return Err(RequestError::Malformed("request head exceeds limit".into()));
-        }
-    }
+    let mut reader = BufReader::new(&*stream);
+    let head = read_head(&mut reader, deadline).map_err(|e| request_err(e, "head"))?;
     let head = String::from_utf8(head)
         .map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))?;
     let mut lines = head.split("\r\n");
@@ -177,31 +245,15 @@ pub fn read_request_deadline(
         if len > MAX_BODY {
             return Err(RequestError::Malformed("request body exceeds limit".into()));
         }
-        // A dribbled body must hit the same overall deadline as the
-        // head, so no single read_exact: loop with the remaining budget.
-        let mut body = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            arm_read(reader.get_ref(), deadline, "body")?;
-            match reader.read(&mut body[filled..]) {
-                Ok(0) => {
-                    return Err(RequestError::Malformed("connection closed mid-body".into()));
-                }
-                Ok(n) => filled += n,
-                Err(e) if is_timeout(&e) => {
-                    return Err(RequestError::Timeout("timed out reading the request body".into()));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(RequestError::Malformed(format!("reading body: {e}"))),
-            }
-        }
-        request.body = body;
+        // A dribbled body hits the same overall deadline as the head.
+        request.body =
+            read_body(&mut reader, Some(len), deadline).map_err(|e| request_err(e, "body"))?;
     }
     Ok(request)
 }
 
-/// Writes a complete response and flushes. Errors are returned for the
-/// caller to log; the connection is closed either way.
+/// Writes a complete response. Errors are returned for the caller to
+/// log; the connection is closed either way.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -213,6 +265,7 @@ pub fn write_response(
 
 /// [`write_response`] with additional response headers (e.g.
 /// `Retry-After` on a `429`). Names and values are written verbatim.
+/// Head and body go out in one write, so the peer wakes once.
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
@@ -231,29 +284,24 @@ pub fn write_response_with(
         429 => "Too Many Requests",
         _ => "Internal Server Error",
     };
-    write!(stream, "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n")?;
+    let mut message = Vec::with_capacity(128 + body.len());
+    write!(message, "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n")?;
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        write!(message, "{name}: {value}\r\n")?;
     }
-    write!(stream, "Content-Length: {}\r\nConnection: close\r\n\r\n", body.len())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write!(message, "Content-Length: {}\r\nConnection: close\r\n\r\n", body.len())?;
+    message.extend_from_slice(body);
+    stream.write_all(&message)
 }
 
-/// Time left until `deadline` on the client side, as an error message
-/// containing "timed out" when the budget is spent.
-fn client_remaining(deadline: Instant, what: &str) -> Result<Duration, String> {
-    deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or_else(|| format!("request timed out {what}"))
-}
-
-fn client_read_err(e: &std::io::Error, what: &str) -> String {
-    if is_timeout(e) {
-        format!("request timed out reading the {what}")
-    } else {
-        format!("reading {what}: {e}")
+/// A client-side read failure as an error message; a timeout's contains
+/// "timed out".
+fn client_read_err(e: ReadError, what: &str) -> String {
+    match e {
+        ReadError::Timeout => format!("request timed out reading the {what}"),
+        ReadError::Closed => format!("reading {what}: connection closed"),
+        ReadError::HeadTooLong => format!("reading {what}: longer than {MAX_HEAD} bytes"),
+        ReadError::Io(e) => format!("reading {what}: {e}"),
     }
 }
 
@@ -314,70 +362,48 @@ pub fn request_timeout_full(
         .ok_or_else(|| format!("resolving {addr}: no usable address"))?;
     let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remaining = client_remaining(deadline, "connecting")?;
+    let remaining = deadline
+        .checked_duration_since(Instant::now())
+        .filter(|d| !d.is_zero())
+        .ok_or("request timed out connecting")?;
     stream.set_write_timeout(Some(remaining)).map_err(|e| e.to_string())?;
-    stream.set_read_timeout(Some(remaining)).map_err(|e| e.to_string())?;
     let body = body.unwrap_or("");
-    write!(
-        stream,
+    let message = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
-    )
-    .map_err(|e| format!("sending request: {e}"))?;
-    stream.flush().map_err(|e| e.to_string())?;
+    );
+    stream.write_all(message.as_bytes()).map_err(|e| format!("sending request: {e}"))?;
 
-    let arm = |stream: &TcpStream, what: &str| -> Result<(), String> {
-        let remaining = client_remaining(deadline, what)?;
-        stream.set_read_timeout(Some(remaining)).map_err(|e| e.to_string())
-    };
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    arm(reader.get_ref(), "awaiting the status line")?;
-    reader.read_line(&mut status_line).map_err(|e| client_read_err(&e, "status line"))?;
+    let mut reader = BufReader::new(&stream);
+    let head = read_head(&mut reader, deadline).map_err(|e| client_read_err(e, "response head"))?;
+    let head = String::from_utf8_lossy(&head);
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or_default();
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("malformed status line {status_line:?}"))?;
-    let mut content_length: Option<usize> = None;
     let mut headers = Headers::new();
-    loop {
-        let mut line = String::new();
-        arm(reader.get_ref(), "awaiting headers")?;
-        reader.read_line(&mut line).map_err(|e| client_read_err(&e, "headers"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
+    for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_lowercase();
-            let value = value.trim().to_owned();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
+            headers.push((name.trim().to_lowercase(), value.trim().to_owned()));
         }
     }
-    arm(reader.get_ref(), "awaiting the body")?;
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf).map_err(|e| client_read_err(&e, "body"))?;
-            buf
-        }
-        None => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf).map_err(|e| client_read_err(&e, "body"))?;
-            buf
-        }
-    };
+    let content_length = headers
+        .iter()
+        .find(|(name, _)| name == "content-length")
+        .and_then(|(_, value)| value.parse().ok());
+    let body =
+        read_body(&mut reader, content_length, deadline).map_err(|e| client_read_err(e, "body"))?;
     Ok((status, headers, String::from_utf8_lossy(&body).into_owned()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
 
     /// Round-trips a request through a real socket pair: the client side
@@ -400,6 +426,103 @@ mod tests {
             request(&addr, "POST", "/campaigns?format=text", Some("{\"x\":1}")).unwrap();
         server.join().unwrap();
         assert_eq!((status, body.as_str()), (202, "{\"id\":7}"));
+    }
+
+    /// Reads the request `pieces` make up, each written on its own with
+    /// a pause between, so that each arrives in its own segment.
+    fn read_pieces(pieces: &[&[u8]]) -> Request {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pieces: Vec<Vec<u8>> = pieces.iter().map(|p| p.to_vec()).collect();
+        let writer = std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.set_nodelay(true).unwrap();
+            for piece in pieces {
+                client.write_all(&piece).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            client
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let request = read_request(&mut stream).unwrap();
+        drop(writer.join().unwrap());
+        request
+    }
+
+    /// Whether the head and body come in one segment (one socket read
+    /// serves the whole request) or dribble in over several, the request
+    /// parses the same.
+    #[test]
+    fn one_segment_and_a_dribbled_body_parse_the_same() {
+        let head = b"POST /campaigns?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 26\r\n\r\n";
+        let body = b"abcdefghijklmnopqrstuvwxyz";
+        let whole = [&head[..], &body[..]].concat();
+        let one = read_pieces(&[&whole]);
+        let split_head = read_pieces(&[&head[..9], &head[9..], &body[..]]);
+        let dribbled = read_pieces(&[&whole[..head.len() + 3], &body[3..10], &body[10..]]);
+        for other in [&split_head, &dribbled] {
+            assert_eq!(
+                (&other.method, &other.path, &other.query, &other.headers, &other.body),
+                (&one.method, &one.path, &one.query, &one.headers, &one.body)
+            );
+        }
+        assert_eq!(one.body, body);
+        assert_eq!(one.header("content-length"), Some("26"));
+    }
+
+    /// The response bytes on the wire: status line, then Content-Type,
+    /// the extra headers in order, Content-Length and Connection, a blank
+    /// line and the body.
+    #[test]
+    fn response_bytes_are_exact() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let extra = [("Retry-After", "1"), ("X-Two", "b")];
+            write_response_with(&mut stream, 429, "application/json", &extra, b"{\"e\":1}")
+                .unwrap();
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut raw = String::new();
+        client.read_to_string(&mut raw).unwrap();
+        server.join().unwrap();
+        assert_eq!(
+            raw,
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Retry-After: 1\r\nX-Two: b\r\nContent-Length: 7\r\nConnection: close\r\n\r\n\
+             {\"e\":1}"
+        );
+    }
+
+    /// The request bytes the client sends, and the headers it hands back.
+    #[test]
+    fn client_request_bytes_are_exact() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut raw = vec![0u8; 256];
+            let mut len = 0;
+            while !raw[..len].ends_with(b"{}") {
+                len += stream.read(&mut raw[len..]).unwrap();
+            }
+            write_response_with(&mut stream, 200, "text/plain", &[("Retry-After", "3")], b"ok")
+                .unwrap();
+            String::from_utf8(raw[..len].to_vec()).unwrap()
+        });
+        let (status, headers, body) =
+            request_timeout_full(&addr, "PUT", "/p?q", Some("{}"), Duration::from_secs(5)).unwrap();
+        let raw = server.join().unwrap();
+        assert_eq!(
+            raw,
+            format!(
+                "PUT /p?q HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 2\r\n\
+                 Connection: close\r\n\r\n{{}}"
+            )
+        );
+        assert_eq!((status, body.as_str()), (200, "ok"));
+        assert_eq!(headers[1], ("retry-after".to_owned(), "3".to_owned()));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! thread count, and shard range — plus the JSON mapping and the
 //! content-address under which results are cached.
 
+use std::sync::OnceLock;
+
 use gd_chipwhisperer::{targets, Device, FaultModel};
 use gd_glitch_emu::branch_case;
 use gd_thumb::Cond;
@@ -315,7 +317,7 @@ impl CampaignSpec {
         h.update_field(spec_json.as_bytes());
         for (name, image) in self.target_material()? {
             h.update_field(name.as_bytes());
-            h.update_field(&image);
+            h.update_field(image);
         }
         Ok(h)
     }
@@ -348,66 +350,87 @@ impl CampaignSpec {
     /// or compiled firmware images for the scan workloads, instruction
     /// encodings for the Figure 2 sweeps.
     ///
+    /// They depend on the workload's kind alone (Tables II and III share
+    /// theirs) and on nothing but fixtures, so each is built once per
+    /// process and kept.
+    ///
     /// # Errors
     ///
     /// Fails if a guard fails to assemble or a firmware fails to harden
     /// and lower (fixture bugs, surfaced as errors instead of panics).
-    pub fn target_material(&self) -> Result<Vec<(String, Vec<u8>)>, String> {
-        match &self.workload {
-            Workload::Fig2 => Ok(Cond::ALL
-                .iter()
-                .map(|&c| {
-                    let case = branch_case(c);
-                    (case.name.clone(), case.target_halfword().to_le_bytes().to_vec())
-                })
-                .collect()),
-            Workload::Table1 { .. } => targets::table1_guards()
-                .into_iter()
-                .map(|(name, src)| {
-                    let dev = Device::from_asm(src)
-                        .map_err(|e| format!("guard {name} fails to assemble: {e}"))?;
-                    Ok((name.to_owned(), dev.text))
-                })
-                .collect(),
-            Workload::Table2 { .. } | Workload::Table3 { .. } => doubled_guards()
-                .into_iter()
-                .map(|(name, src)| {
-                    let dev = Device::from_asm(&src)
-                        .map_err(|e| format!("guard {name} fails to assemble: {e}"))?;
-                    Ok((name.to_owned(), dev.text))
-                })
-                .collect(),
-            Workload::Table6 => {
-                let mut out = Vec::new();
-                for (target, module) in gd_firmware::table6_targets() {
-                    for (label, defenses) in [
-                        ("All", glitch_resistor::Defenses::ALL),
-                        ("All\\Delay", glitch_resistor::Defenses::ALL_EXCEPT_DELAY),
-                    ] {
-                        let mut m = module.clone();
-                        glitch_resistor::harden(&mut m, &glitch_resistor::Config::new(defenses));
-                        let image = gd_backend::compile(&m, "main")
-                            .map_err(|e| format!("{target}/{label} fails to lower: {e}"))?;
-                        let mut bytes = image.text.clone();
-                        for (addr, data) in &image.data {
-                            bytes.extend_from_slice(&addr.to_le_bytes());
-                            bytes.extend_from_slice(data);
-                        }
-                        out.push((format!("{target}/{label}"), bytes));
+    pub fn target_material(&self) -> Result<&'static [(String, Vec<u8>)], String> {
+        type Material = Result<Vec<(String, Vec<u8>)>, String>;
+        static MEMO: [OnceLock<Material>; 5] = [const { OnceLock::new() }; 5];
+        let slot = match &self.workload {
+            Workload::Fig2 => 0,
+            Workload::Table1 { .. } => 1,
+            Workload::Table2 { .. } | Workload::Table3 { .. } => 2,
+            Workload::Table6 => 3,
+            Workload::Multifault => 4,
+        };
+        MEMO[slot]
+            .get_or_init(|| build_target_material(&self.workload))
+            .as_deref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// Builds [`CampaignSpec::target_material`] for `workload`.
+fn build_target_material(workload: &Workload) -> Result<Vec<(String, Vec<u8>)>, String> {
+    match workload {
+        Workload::Fig2 => Ok(Cond::ALL
+            .iter()
+            .map(|&c| {
+                let case = branch_case(c);
+                (case.name.clone(), case.target_halfword().to_le_bytes().to_vec())
+            })
+            .collect()),
+        Workload::Table1 { .. } => targets::table1_guards()
+            .into_iter()
+            .map(|(name, src)| {
+                let dev = Device::from_asm(src)
+                    .map_err(|e| format!("guard {name} fails to assemble: {e}"))?;
+                Ok((name.to_owned(), dev.text))
+            })
+            .collect(),
+        Workload::Table2 { .. } | Workload::Table3 { .. } => doubled_guards()
+            .into_iter()
+            .map(|(name, src)| {
+                let dev = Device::from_asm(&src)
+                    .map_err(|e| format!("guard {name} fails to assemble: {e}"))?;
+                Ok((name.to_owned(), dev.text))
+            })
+            .collect(),
+        Workload::Table6 => {
+            let mut out = Vec::new();
+            for (target, module) in gd_firmware::table6_targets() {
+                for (label, defenses) in [
+                    ("All", glitch_resistor::Defenses::ALL),
+                    ("All\\Delay", glitch_resistor::Defenses::ALL_EXCEPT_DELAY),
+                ] {
+                    let mut m = module.clone();
+                    glitch_resistor::harden(&mut m, &glitch_resistor::Config::new(defenses));
+                    let image = gd_backend::compile(&m, "main")
+                        .map_err(|e| format!("{target}/{label} fails to lower: {e}"))?;
+                    let mut bytes = image.text.clone();
+                    for (addr, data) in &image.data {
+                        bytes.extend_from_slice(&addr.to_le_bytes());
+                        bytes.extend_from_slice(data);
                     }
+                    out.push((format!("{target}/{label}"), bytes));
                 }
-                Ok(out)
             }
-            Workload::Multifault => {
-                let image = gd_backend::compile(&gd_firmware::boot(), "main")
-                    .map_err(|e| format!("boot fails to lower: {e}"))?;
-                let mut bytes = image.text.clone();
-                for (addr, data) in &image.data {
-                    bytes.extend_from_slice(&addr.to_le_bytes());
-                    bytes.extend_from_slice(data);
-                }
-                Ok(vec![("boot".to_owned(), bytes)])
+            Ok(out)
+        }
+        Workload::Multifault => {
+            let image = gd_backend::compile(&gd_firmware::boot(), "main")
+                .map_err(|e| format!("boot fails to lower: {e}"))?;
+            let mut bytes = image.text.clone();
+            for (addr, data) in &image.data {
+                bytes.extend_from_slice(&addr.to_le_bytes());
+                bytes.extend_from_slice(data);
             }
+            Ok(vec![("boot".to_owned(), bytes)])
         }
     }
 }
@@ -514,6 +537,24 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), keys.len(), "{keys:?}");
+    }
+
+    #[test]
+    fn target_material_is_built_once_and_equals_a_fresh_build() {
+        for spec in [
+            CampaignSpec::fig2(),
+            CampaignSpec::table1(),
+            CampaignSpec::table2(),
+            CampaignSpec::table3(),
+            CampaignSpec::table6(),
+            CampaignSpec::multifault(),
+        ] {
+            let first = spec.target_material().unwrap();
+            let again = spec.target_material().unwrap();
+            assert!(std::ptr::eq(first, again), "{} is kept", spec.workload.kind());
+            assert_eq!(first, build_target_material(&spec.workload).unwrap().as_slice());
+            assert!(!first.is_empty() && first.iter().all(|(_, bytes)| !bytes.is_empty()));
+        }
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub struct AttemptRunner<'d> {
 impl<'d> AttemptRunner<'d> {
     /// Boots `device` and snapshots its power-on state.
     pub fn new(device: &'d Device) -> AttemptRunner<'d> {
-        let pipe = device.boot();
+        let mut pipe = device.boot();
         let power_on = pipe.snapshot();
         let power_on_nvm = Device::snapshot_nvm(&pipe);
         AttemptRunner { device, pipe, power_on, power_on_nvm }

@@ -591,8 +591,9 @@ impl Emu {
     ///
     /// Snapshot/restore is the sweep hot loop's alternative to booting a
     /// fresh emulator per trial: boot once, snapshot, then restore before
-    /// each perturbed run.
-    pub fn snapshot(&self) -> Snapshot {
+    /// each perturbed run. The memory counts as restored to the new
+    /// snapshot ([`Memory::snapshot`]).
+    pub fn snapshot(&mut self) -> Snapshot {
         Snapshot {
             cpu: self.cpu.clone(),
             cfg: self.cfg,

@@ -209,9 +209,9 @@ impl std::error::Error for MapError {}
 pub struct Memory {
     regions: Vec<Region>,
     write_epoch: u64,
-    /// Id of the snapshot this memory was last restored to (0: none).
-    /// Contents equal that snapshot everywhere except on dirty pages and
-    /// bytes written by the loader since.
+    /// Id of the snapshot this memory was last restored to or taken as
+    /// (0: none). Contents equal that snapshot everywhere except on dirty
+    /// pages and bytes written by the loader since.
     restored_to: u64,
 }
 
@@ -336,20 +336,29 @@ impl Memory {
     }
 
     /// Copies every region's contents for later [`Memory::restore`].
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
+    ///
+    /// The memory equals the new snapshot, so it counts as restored to
+    /// it: the first restore copies back only the pages stored to since,
+    /// like every later one.
+    pub fn snapshot(&mut self) -> MemSnapshot {
+        let snap = MemSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
             data: self.regions.iter().map(|r| r.data.clone()).collect(),
             write_epoch: self.write_epoch,
+        };
+        for region in &mut self.regions {
+            region.dirty.fill(0);
         }
+        self.restored_to = snap.id;
+        snap
     }
 
     /// Rolls region contents back to a snapshot of this memory map.
     ///
     /// Every emulated store marks its 256-byte page dirty. When this
-    /// memory was last restored to the same snapshot, only the pages
-    /// stored to since are copied back, so a trial's reset costs what it
-    /// wrote; otherwise every region is copied. Loader writes
+    /// memory was last restored to the same snapshot (or taken as it),
+    /// only the pages stored to since are copied back, so a trial's reset
+    /// costs what it wrote; otherwise every region is copied. Loader writes
     /// ([`Memory::load`]) are host-side and untracked: a restore reverts
     /// them only where it copies (a full restore, or a page also stored
     /// to), so callers that poke through the loader re-poke after every

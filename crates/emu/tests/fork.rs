@@ -94,7 +94,8 @@ fn random_fork_sequences_match_a_full_copy_reference() {
         let mut e = emu();
         let mut snaps: Vec<(Snapshot, Model)> = Vec::new();
         let mut forks: Vec<(Fork, usize, Model)> = Vec::new();
-        // The snapshot the emulator was last restored or resumed to.
+        // The snapshot the emulator was last restored or resumed to, or
+        // last took (a snapshot counts as a restore to itself).
         let mut base: Option<usize> = None;
         let mut log = Vec::new();
         for _ in 0..rng.usize(1, 120) {
@@ -124,6 +125,7 @@ fn random_fork_sequences_match_a_full_copy_reference() {
                 }
                 6 => {
                     log.push(format!("snapshot #{}", snaps.len()));
+                    base = Some(snaps.len());
                     snaps.push((e.snapshot(), Model::of(&e)));
                 }
                 7 if base.is_some() => {

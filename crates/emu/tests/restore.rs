@@ -38,7 +38,6 @@ fn restoring_another_snapshot_after_equal_store_counts_copies_it_back() {
 fn dirty_page_restore_covers_page_edges() {
     let mut m = mem();
     let snap = m.snapshot();
-    m.restore(&snap); // the next restore to `snap` is page-granular
     let last = PERIPH + PERIPH_SIZE - 4;
     for addr in [SRAM, SRAM + 0xFC, SRAM + 0x100, SRAM + 0xFFF, PERIPH + 0xFF, last] {
         m.write8(addr, 0xA5).expect("mapped");
@@ -46,6 +45,24 @@ fn dirty_page_restore_covers_page_edges() {
     m.write32(last, 0xDEAD_BEEF).expect("mapped");
     m.restore(&snap);
     assert!(m.peek(SRAM, 0x1000).expect("mapped").iter().all(|&b| b == 0));
+    assert!(m.peek(PERIPH, PERIPH_SIZE).expect("mapped").iter().all(|&b| b == 0));
+}
+
+/// A snapshot counts as the last restore: the first restore after it
+/// copies back only the page stored to. A loader write (untracked) on
+/// another page shows what was not copied.
+#[test]
+fn the_first_restore_after_a_snapshot_copies_only_the_stored_page() {
+    let mut m = mem();
+    m.write32(SRAM + 0x200, 0x1234_5678).expect("mapped");
+    let snap = m.snapshot();
+    let before = m.peek(SRAM, 0x1000).expect("mapped");
+    m.write32(SRAM + 0x10, 0xDEAD_BEEF).expect("mapped");
+    m.load(PERIPH + 0x400, &[0xA5; 4]).expect("mapped");
+    m.restore(&snap);
+    assert_eq!(m.peek(SRAM, 0x1000).expect("mapped"), before, "the stored page is copied back");
+    assert_eq!(m.read32(PERIPH + 0x400).expect("mapped"), 0xA5A5_A5A5, "no other page is");
+    m.load(PERIPH + 0x400, &[0; 4]).expect("mapped");
     assert!(m.peek(PERIPH, PERIPH_SIZE).expect("mapped").iter().all(|&b| b == 0));
 }
 

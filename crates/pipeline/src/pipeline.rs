@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use gd_emu::{Emu, Fault, Fork, LoadOverride, Snapshot, StepOutcome, StopReason};
+use gd_emu::{Emu, Fault, Fork, LoadOverride, Snapshot, StepOutcome, StopReason, ZERO_FILL};
 use gd_thumb::Instr;
 
 use crate::timing::Timing;
@@ -186,6 +186,10 @@ impl Pipeline {
     /// and step counts then advance by as many whole periods as keep the
     /// cycle below `max_cycles`, and the rest runs normally.
     ///
+    /// A `0x0000` halfword executed into a quiet boundary starts a slide
+    /// through the zero fill behind it ([`Emu::slide`]), one cycle per
+    /// halfword, instead of a step each.
+    ///
     /// # Panics
     ///
     /// Panics if the pipeline was last restored to another snapshot than
@@ -218,13 +222,28 @@ impl Pipeline {
                 (since, power) = (0, 1);
             }
             since += 1;
-            match self.step_with(&mut injector) {
-                Ok(Some(end)) => return end,
-                Ok(None) => {}
+            match self.step_traced(&mut injector) {
+                Ok((Some(end), _)) => return end,
+                Ok((None, instr)) => {
+                    if instr == ZERO_FILL && self.quiet(last_fault) {
+                        self.slide(max_cycles);
+                    }
+                }
                 Err(fault) => return RunEnd::Fault(fault),
             }
         }
         RunEnd::CycleLimit
+    }
+
+    /// Passes the zero fill at the PC in one go ([`Emu::slide`]), as
+    /// stepping it at a quiet boundary would: each `0x0000` halfword
+    /// retires in one cycle, stores nothing and cannot trigger, so the
+    /// boundaries inside the run stay quiet. Stops at `max_cycles` at
+    /// the latest.
+    fn slide(&mut self, max_cycles: u64) {
+        let n = self.emu.slide(max_cycles - self.cycle);
+        self.cycle += n;
+        self.retired += n;
     }
 
     /// Whether no fault can reach the next instruction: see
@@ -269,6 +288,15 @@ impl Pipeline {
         &mut self,
         injector: &mut impl FnMut(&Window) -> Vec<StageFault>,
     ) -> Result<Option<RunEnd>, Fault> {
+        self.step_traced(injector).map(|(end, _)| end)
+    }
+
+    /// [`Pipeline::step_with`], also returning the instruction the
+    /// window held after any execute-stage corruption (skipped or not).
+    fn step_traced(
+        &mut self,
+        injector: &mut impl FnMut(&Window) -> Vec<StageFault>,
+    ) -> Result<(Option<RunEnd>, Instr), Fault> {
         let addr = self.emu.pc();
         let mut hw = self.emu.mem.fetch16(addr)?;
 
@@ -310,7 +338,7 @@ impl Pipeline {
                 }
                 StageFault::CorruptLoad(ov) => self.emu.load_override = Some(ov),
                 StageFault::Skip => skip = true,
-                StageFault::Reset => return Ok(Some(RunEnd::Reset)),
+                StageFault::Reset => return Ok((Some(RunEnd::Reset), instr)),
             }
         }
 
@@ -323,7 +351,7 @@ impl Pipeline {
             self.emu.load_override = None;
             self.emu.set_pc(addr.wrapping_add(size));
             self.cycle += 1;
-            return Ok(None);
+            return Ok((None, instr));
         }
 
         let outcome = self.emu.exec(instr, addr, size)?;
@@ -345,11 +373,11 @@ impl Pipeline {
                     }
                 }
                 self.cycle += u64::from(cycles);
-                Ok(None)
+                Ok((None, instr))
             }
             StepOutcome::Stop { reason, addr } => {
                 self.cycle += u64::from(cycles);
-                Ok(Some(RunEnd::Stop { reason: *reason, addr: *addr }))
+                Ok((Some(RunEnd::Stop { reason: *reason, addr: *addr }), instr))
             }
         }
     }
@@ -357,8 +385,9 @@ impl Pipeline {
     /// Captures the run state for later [`Pipeline::restore`]: the
     /// emulator, cycle and retired counts, trigger events, and in-flight
     /// fetch corruption. Configuration ([`Pipeline::timing`]) is not part
-    /// of it.
-    pub fn snapshot(&self) -> PipelineSnapshot {
+    /// of it. The memory counts as restored to the new snapshot
+    /// ([`Emu::snapshot`]).
+    pub fn snapshot(&mut self) -> PipelineSnapshot {
         PipelineSnapshot {
             emu: self.emu.snapshot(),
             cycle: self.cycle,
