@@ -264,7 +264,10 @@ fn bench_table1(h: &Harness) -> Json {
 /// through the from-snapshot reference — plus the campaign's
 /// deterministic pruning rates as exact-match metrics, so the committed
 /// trajectory also gates the redundancy analysis itself (rates must
-/// reproduce bit-for-bit and stay above zero).
+/// reproduce bit-for-bit and stay above zero). `pairs/settled_rate` is
+/// the share of both-live pairs over all buckets that the fork walk
+/// settles without a pair trial of their own; its floor fails the check
+/// if walks stop sharing pair outcomes.
 fn bench_multifault(h: &Harness) -> Json {
     let campaign = gd_faultsim::boot_campaign();
     let image = &campaign.image;
@@ -299,6 +302,11 @@ fn bench_multifault(h: &Harness) -> Json {
     let (fork, reference) = (fork.expect("stage ran"), reference.expect("stage ran"));
     assert_eq!(fork, reference, "the fork walk and the reference disagree on bucket 0");
     let bucket0 = fork.1;
+    let mut pairs = gd_faultsim::PairsBy::default();
+    for bucket in 0..gd_faultsim::O2_BUCKETS {
+        pairs.merge(&gd_faultsim::order2_bucket(bucket, 1, gd_faultsim::O2Executor::Fork).pairs);
+    }
+    let settled = pairs.total() - pairs.trial;
     trajectory::doc_with_metrics(
         "multifault",
         &stages,
@@ -318,6 +326,11 @@ fn bench_multifault(h: &Harness) -> Json {
                 name: "prune/order2_bucket0_rate",
                 value_milli: bucket0.pruned_ratio_milli(),
                 min_milli: Some(1),
+            },
+            Metric {
+                name: "pairs/settled_rate",
+                value_milli: settled * 1000 / pairs.total(),
+                min_milli: Some(750),
             },
         ],
     )

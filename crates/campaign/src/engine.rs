@@ -45,8 +45,9 @@ use crate::spec::CampaignSpec;
 /// Result format version written to cache and checkpoint files, which
 /// reject any other. Version 2: second-order multifault buckets
 /// partition pairs by first-fault class, not by linear pair index, so a
-/// version-1 bucket holds other pairs.
-pub const RESULT_VERSION: i64 = 2;
+/// version-1 bucket holds other pairs. Version 3: a bucket holds a
+/// contiguous run of first-fault classes, not every eighth class.
+pub const RESULT_VERSION: i64 = 3;
 
 /// A completed (possibly partial) campaign: the spec, its content
 /// address, every completed shard in plan order, and the rendered report.

@@ -90,9 +90,9 @@ pub enum ShardWork {
     },
     /// One second-order multifault bucket: the distinct-site
     /// representative pairs whose first-firing live member belongs to a
-    /// first-fault class of this bucket (class `i` in bucket `i` mod
-    /// [`gd_faultsim::O2_BUCKETS`]; pairs of two static members in
-    /// bucket 0).
+    /// first-fault class of this bucket (one of
+    /// [`gd_faultsim::O2_BUCKETS`] contiguous runs of class order; pairs
+    /// of two static members in bucket 0).
     MultifaultPairs {
         /// Bucket index.
         bucket: u32,

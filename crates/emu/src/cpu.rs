@@ -8,7 +8,7 @@ use gd_thumb::{Flags, Reg};
 ///
 /// The program counter lives in [`Emu`](crate::Emu) because its visible
 /// value depends on the executing instruction's address.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cpu {
     regs: [u32; 15],
     /// APSR condition flags.

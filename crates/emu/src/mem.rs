@@ -5,6 +5,7 @@
 //! from unmapped memory become *Bad Fetch*, and so on.
 
 use core::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Access permissions for a [`Region`].
@@ -465,6 +466,30 @@ impl Memory {
             }
         }
         true
+    }
+
+    /// Feeds `state` the contents this memory, restored to `snap` and
+    /// stored to since, holds where they differ from `snap`: region
+    /// index, page start and bytes of each dirty page whose bytes are not
+    /// the snapshot's. Memories with the same contents
+    /// ([`Memory::same_contents`]) feed the same input, whichever pages
+    /// each stored to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this memory was last restored to another snapshot than
+    /// `snap`.
+    pub fn hash_contents(&self, snap: &MemSnapshot, state: &mut impl Hasher) {
+        assert_eq!(self.restored_to, snap.id, "memory restored to a different snapshot");
+        for (r, region) in self.regions.iter().enumerate() {
+            for start in region.dirty_pages() {
+                let end = (start + PAGE_SIZE).min(region.data.len());
+                let page = &region.data[start..end];
+                if *page != snap.data[r][start..end] {
+                    (r, start, page).hash(state);
+                }
+            }
+        }
     }
 
     /// Reads raw bytes, ignoring permissions (debugger-style access).

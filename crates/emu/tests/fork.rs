@@ -156,7 +156,8 @@ fn random_fork_sequences_match_a_full_copy_reference() {
 /// [`Emu::same_state`] against the full-copy reference: two runs from
 /// one snapshot, storing values from a small pool to a few pages (so
 /// equal contents behind different sets of stored-to pages are common),
-/// are in the same state exactly when their full copies agree.
+/// are in the same state exactly when their full copies agree, and then
+/// exactly when their state hashes do.
 #[test]
 fn same_state_agrees_with_a_full_copy_comparison() {
     let mut equal = 0;
@@ -173,9 +174,10 @@ fn same_state_agrees_with_a_full_copy_comparison() {
             Model::of(e)
         };
         let a = run(&mut e);
-        let fork = e.fork();
+        let (fork, hash) = (e.fork(), e.state_hash(&snap));
         let b = run(&mut e);
         assert_eq!(e.same_state(&snap, &fork), a == b, "{a:?} vs {b:?}");
+        assert_eq!(e.state_hash(&snap) == hash, a == b, "{a:?} vs {b:?}");
         equal += usize::from(a == b);
     });
     assert!(equal > 20, "the sample reaches equal states ({equal})");
