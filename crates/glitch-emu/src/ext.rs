@@ -14,7 +14,7 @@ use gd_emu::{Config, Emu, Perms, RunOutcome, StopReason};
 use gd_thumb::asm::assemble;
 use gd_thumb::Reg;
 
-use crate::sweep::{Direction, HalfwordOutcomes, Outcome, Tally};
+use crate::sweep::{perturbed_tallies, Direction, Outcome, Tally};
 
 /// A skip-oriented test case: corrupting `target:` counts as a *skip* when
 /// execution completes but the instruction's architectural effect is
@@ -162,16 +162,17 @@ impl SkipCase {
     }
 
     /// Sweeps every C(16, k) mask for `k = 1..=16`, running each
-    /// distinct perturbed halfword once ([`HalfwordOutcomes`]), fanned
+    /// distinct perturbed halfword once (`perturbed_tallies`), fanned
     /// out across [`gd_exec`] workers — the hot loop of the `fig2_ext`
     /// driver.
     pub fn sweep(&self, direction: Direction, cfg: Config) -> Tally {
-        let masks = 1..1u32 << 16;
-        let outcomes =
-            HalfwordOutcomes::run(self.target_halfword(), direction, masks.clone(), || {
-                |hw| self.run(hw, cfg)
-            });
-        outcomes.tally(masks)
+        let per_k =
+            perturbed_tallies(self.target_halfword(), direction, 16, || |hw| self.run(hw, cfg));
+        let mut tally = Tally::default();
+        for t in &per_k[1..] {
+            tally.merge(t);
+        }
+        tally
     }
 }
 

@@ -28,6 +28,6 @@ pub mod sweep;
 pub use classify::{branch_flips, branch_flips_with, BranchFlips, Flip, FlipClass};
 pub use harness::{all_branch_cases, branch_case, flag_setup, TestCase};
 pub use sweep::{
-    run_perturbed, sweep_case, sweep_k, sweep_k_serial, Direction, HalfwordOutcomes, Outcome,
-    PerturbRunner, SweepResult, Tally,
+    run_perturbed, sweep_case, sweep_k, sweep_k_serial, Direction, Outcome, PerturbRunner,
+    SweepResult, Tally,
 };
