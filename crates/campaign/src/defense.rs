@@ -203,13 +203,6 @@ pub fn render_table6(blocks: &[Table6Block]) -> String {
     blocks.iter().map(render_table6_block).collect()
 }
 
-/// The unprotected baseline for the same targets (contextual row).
-pub fn unprotected_cell(module: &Module, model: &FaultModel, attack: Attack) -> DefenseCell {
-    let image = compile(module, "main").expect("firmware lowers");
-    let device = Device::from_image(&image);
-    run_cell(&device, model, attack)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -542,9 +542,4 @@ impl Cfg {
         }
         self.return_edges.iter().any(|re| re.from == bi && self.blocks[re.to].start == to)
     }
-
-    /// The block whose span contains `addr`, if any.
-    pub fn block_at(&self, addr: u32) -> Option<usize> {
-        self.instr_blocks.get(&addr).map(|&(b, _)| b)
-    }
 }

@@ -26,14 +26,15 @@ fn assert_trace_covered(image: &gd_backend::FirmwareImage, cfg: gd_emu::Config, 
     loop {
         assert!(steps < MAX_STEPS, "{label}: unfaulted run did not stop");
         steps += 1;
+        let addr = emu.pc();
         match emu.step() {
             Ok(StepOutcome::Step(s)) => {
                 assert!(
-                    g.has_transition(s.addr, s.next_pc),
+                    g.has_transition(addr, emu.pc()),
                     "{label}: transition {:#010x} -> {:#010x} ({:?}, branched={}) \
                      is not a CFG edge",
-                    s.addr,
-                    s.next_pc,
+                    addr,
+                    emu.pc(),
                     s.instr,
                     s.branched,
                 );

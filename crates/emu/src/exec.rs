@@ -199,23 +199,13 @@ impl From<MemFault> for Fault {
     }
 }
 
-/// Everything observable about one executed instruction.
+/// What a caller reads about one executed instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
-    /// Address the instruction was executed from.
-    pub addr: u32,
     /// The instruction.
     pub instr: Instr,
-    /// Size in bytes.
-    pub size: u32,
-    /// The PC after this instruction.
-    pub next_pc: u32,
     /// Whether control flow was redirected.
     pub branched: bool,
-    /// Number of data words/bytes loaded.
-    pub loads: u8,
-    /// Number of data words/bytes stored.
-    pub stores: u8,
     /// The last store performed, as `(address, value)` — used by the
     /// pipeline simulator to spot GPIO trigger writes.
     pub store: Option<(u32, u32)>,
@@ -423,17 +413,11 @@ impl Emu {
                 } else {
                     2
                 };
-                let next_pc = addr.wrapping_add(size);
                 self.steps += 1;
-                self.pc = next_pc;
+                self.pc = addr.wrapping_add(size);
                 Ok(StepOutcome::Step(Step {
-                    addr,
                     instr: Instr::Hint { hint: gd_thumb::Hint::Nop },
-                    size,
-                    next_pc,
                     branched: false,
-                    loads: 0,
-                    stores: 0,
                     store: None,
                 }))
             }
@@ -494,16 +478,21 @@ impl Emu {
     /// skips the architectural fetch, so stale slots would silently
     /// diverge from [`Emu::step`].
     ///
+    /// The instruction body is inlined here (the live path calls the
+    /// out-of-line [`Emu::exec`]), so each loop that dispatches from a
+    /// table holds its own copy of it: [`Emu::run_predecoded`] and the
+    /// [`Replay`](crate::Replay) step loops.
+    ///
     /// # Errors
     ///
     /// Exactly those of [`Emu::step`].
-    #[inline]
+    #[inline(always)]
     pub fn step_predecoded(&mut self, image: &PredecodedImage) -> Result<StepOutcome, Fault> {
         debug_assert_eq!(image.cfg(), self.cfg, "image decoded under a different Config");
         let addr = self.pc;
         match image.slot(addr) {
-            Some(Slot::Instr { instr, size }) => self.exec(instr, addr, size),
-            // Live decode reports undefined patterns before `exec` runs,
+            Some(Slot::Instr { instr, size }) => self.execute(instr, addr, size),
+            // Live decode reports undefined patterns before the body runs,
             // so the cached arm must not touch the step counter either.
             Some(Slot::Undefined { hw, hw2 }) => Err(Fault::Undefined { addr, hw, hw2 }),
             Some(Slot::Incomplete { .. }) | Some(Slot::Live) | None => self.step(),
@@ -569,6 +558,8 @@ impl Emu {
     /// [`Emu::run`] over the predecoded dispatch path of
     /// [`Emu::step_predecoded`], sliding ([`Emu::slide`]) through each run
     /// of zero-filled flash it enters instead of stepping it.
+    /// Never inlined: it holds its own copy of the instruction body.
+    #[inline(never)]
     pub fn run_predecoded(&mut self, max_steps: u64, image: &PredecodedImage) -> RunOutcome {
         let mut left = max_steps;
         while left > 0 {
@@ -735,41 +726,44 @@ impl Emu {
             Width::Half => u32::from(self.mem.read16(addr)?),
             Width::Word => self.mem.read32(addr)?,
         };
-        let value = match self.load_override.take() {
-            Some(ov) => {
-                let mask = match width {
-                    Width::Byte => 0xFF,
-                    Width::Half => 0xFFFF,
-                    Width::Word => u32::MAX,
-                };
-                ov.apply(raw) & mask
-            }
-            None => raw,
+        // Clear the override only when one is set: the common load
+        // leaves it alone.
+        let Some(ov) = self.load_override else { return Ok(raw) };
+        self.load_override = None;
+        let mask = match width {
+            Width::Byte => 0xFF,
+            Width::Half => 0xFFFF,
+            Width::Word => u32::MAX,
         };
-        Ok(value)
+        Ok(ov.apply(raw) & mask)
     }
 
     /// Executes an already-decoded instruction at `addr`, advancing the PC.
     ///
     /// This is the entry point used by the pipeline simulator, which does
-    /// its own (possibly glitch-corrupted) fetching.
+    /// its own (possibly glitch-corrupted) fetching, and by the live
+    /// [`Emu::step`]: the one out-of-line copy of the instruction body
+    /// that [`Emu::step_predecoded`] inlines into its dispatch.
     ///
     /// # Errors
     ///
     /// Returns a [`Fault`] for memory faults and interworking attempts.
-    #[allow(clippy::too_many_lines)]
+    #[inline(never)]
     pub fn exec(&mut self, instr: Instr, addr: u32, size: u32) -> Result<StepOutcome, Fault> {
+        self.execute(instr, addr, size)
+    }
+
+    /// The instruction body behind [`Emu::exec`] and
+    /// [`Emu::step_predecoded`]. Always inlined, so that a dispatch loop
+    /// pays no call per instruction and keeps in registers, or drops,
+    /// what it does not read of the [`Step`].
+    #[inline(always)]
+    #[allow(clippy::too_many_lines)]
+    fn execute(&mut self, instr: Instr, addr: u32, size: u32) -> Result<StepOutcome, Fault> {
         self.steps += 1;
-        let mut step = Step {
-            addr,
-            instr,
-            size,
-            next_pc: addr.wrapping_add(size),
-            branched: false,
-            loads: 0,
-            stores: 0,
-            store: None,
-        };
+        let mut next_pc = addr.wrapping_add(size);
+        let mut branched = false;
+        let mut stored = None;
         match instr {
             Instr::ShiftImm { op, rd, rm, imm5 } => {
                 let x = self.read_reg(rm, addr);
@@ -837,8 +831,8 @@ impl Emu {
             Instr::AddHi { rdn, rm } => {
                 let r = self.read_reg(rdn, addr).wrapping_add(self.read_reg(rm, addr));
                 if rdn == Reg::PC {
-                    step.next_pc = r & !1;
-                    step.branched = true;
+                    next_pc = r & !1;
+                    branched = true;
                 } else {
                     self.cpu.set_reg(rdn, r);
                 }
@@ -853,8 +847,8 @@ impl Emu {
             Instr::MovHi { rd, rm } => {
                 let v = self.read_reg(rm, addr);
                 if rd == Reg::PC {
-                    step.next_pc = v & !1;
-                    step.branched = true;
+                    next_pc = v & !1;
+                    branched = true;
                 } else {
                     self.cpu.set_reg(rd, v);
                 }
@@ -867,65 +861,56 @@ impl Emu {
                 if matches!(instr, Instr::Blx { .. }) {
                     self.cpu.set_reg(Reg::LR, addr.wrapping_add(2) | 1);
                 }
-                step.next_pc = target & !1;
-                step.branched = true;
+                next_pc = target & !1;
+                branched = true;
             }
             Instr::LdrLit { rt, imm8 } => {
                 let base = addr.wrapping_add(4) & !3;
                 let v = self.load(base.wrapping_add(u32::from(imm8) * 4), Width::Word)?;
                 self.cpu.set_reg(rt, v);
-                step.loads = 1;
             }
             Instr::StoreReg { width, rt, rn, rm } => {
                 let a = self.read_reg(rn, addr).wrapping_add(self.read_reg(rm, addr));
                 let v = self.read_reg(rt, addr);
                 self.store(a, v, width)?;
-                step.stores = 1;
-                step.store = Some((a, v));
+                stored = Some((a, v));
             }
             Instr::LoadReg { width, rt, rn, rm } => {
                 let a = self.read_reg(rn, addr).wrapping_add(self.read_reg(rm, addr));
                 let v = self.load(a, width)?;
                 self.cpu.set_reg(rt, v);
-                step.loads = 1;
             }
             Instr::LdrsbReg { rt, rn, rm } => {
                 let a = self.read_reg(rn, addr).wrapping_add(self.read_reg(rm, addr));
                 let v = self.load(a, Width::Byte)? as i8;
                 self.cpu.set_reg(rt, v as i32 as u32);
-                step.loads = 1;
             }
             Instr::LdrshReg { rt, rn, rm } => {
                 let a = self.read_reg(rn, addr).wrapping_add(self.read_reg(rm, addr));
                 let v = self.load(a, Width::Half)? as u16 as i16;
                 self.cpu.set_reg(rt, v as i32 as u32);
-                step.loads = 1;
             }
             Instr::StoreImm { width, rt, rn, imm5 } => {
                 let a = self.read_reg(rn, addr).wrapping_add(u32::from(imm5) * width.bytes());
                 let v = self.read_reg(rt, addr);
                 self.store(a, v, width)?;
-                step.stores = 1;
-                step.store = Some((a, v));
+                stored = Some((a, v));
             }
             Instr::LoadImm { width, rt, rn, imm5 } => {
                 let a = self.read_reg(rn, addr).wrapping_add(u32::from(imm5) * width.bytes());
                 let v = self.load(a, width)?;
                 self.cpu.set_reg(rt, v);
-                step.loads = 1;
             }
             Instr::StrSp { rt, imm8 } => {
                 let a = self.cpu.sp().wrapping_add(u32::from(imm8) * 4);
                 let v = self.read_reg(rt, addr);
                 self.store(a, v, Width::Word)?;
-                step.stores = 1;
-                step.store = Some((a, v));
+                stored = Some((a, v));
             }
             Instr::LdrSp { rt, imm8 } => {
                 let a = self.cpu.sp().wrapping_add(u32::from(imm8) * 4);
                 let v = self.load(a, Width::Word)?;
                 self.cpu.set_reg(rt, v);
-                step.loads = 1;
             }
             Instr::Adr { rd, imm8 } => {
                 let base = addr.wrapping_add(4) & !3;
@@ -978,20 +963,18 @@ impl Emu {
                     if rlist & (1 << i) != 0 {
                         let v = self.cpu.reg(Reg::new(i).expect("list index < 8"));
                         self.store(a, v, Width::Word)?;
-                        step.store = Some((a, v));
+                        stored = Some((a, v));
                         a += 4;
                     }
                 }
                 if lr {
                     let v = self.cpu.lr();
                     self.store(a, v, Width::Word)?;
-                    step.store = Some((a, v));
+                    stored = Some((a, v));
                 }
                 self.cpu.set_sp(base);
-                step.stores = count as u8;
             }
             Instr::Pop { rlist, pc } => {
-                let count = rlist.count_ones() + u32::from(pc);
                 let mut a = self.cpu.sp();
                 for i in 0..8 {
                     if rlist & (1 << i) != 0 {
@@ -1005,12 +988,11 @@ impl Emu {
                     if target & 1 == 0 {
                         return Err(Fault::InterworkArm { addr, target });
                     }
-                    step.next_pc = target & !1;
-                    step.branched = true;
+                    next_pc = target & !1;
+                    branched = true;
                     a += 4;
                 }
                 self.cpu.set_sp(a);
-                step.loads = count as u8;
             }
             Instr::Bkpt { imm8 } => {
                 return Ok(StepOutcome::Stop { reason: StopReason::Bkpt(imm8), addr })
@@ -1027,21 +1009,18 @@ impl Emu {
             Instr::Cps { disable } => self.cpu.primask = disable,
             Instr::Stm { rn, rlist } => {
                 let mut a = self.read_reg(rn, addr);
-                let count = rlist.count_ones();
                 for i in 0..8 {
                     if rlist & (1 << i) != 0 {
                         let v = self.cpu.reg(Reg::new(i).expect("list index < 8"));
                         self.store(a, v, Width::Word)?;
-                        step.store = Some((a, v));
+                        stored = Some((a, v));
                         a += 4;
                     }
                 }
                 self.cpu.set_reg(rn, a);
-                step.stores = count as u8;
             }
             Instr::Ldm { rn, rlist } => {
                 let mut a = self.read_reg(rn, addr);
-                let count = rlist.count_ones();
                 for i in 0..8 {
                     if rlist & (1 << i) != 0 {
                         let v = self.load(a, Width::Word)?;
@@ -1053,12 +1032,11 @@ impl Emu {
                 if rlist & (1 << rn.index()) == 0 {
                     self.cpu.set_reg(rn, a);
                 }
-                step.loads = count as u8;
             }
             Instr::BCond { cond, offset } => {
                 if cond.holds(self.cpu.flags) {
-                    step.next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
-                    step.branched = true;
+                    next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
+                    branched = true;
                 }
             }
             Instr::Udf { imm8: _ } => return Err(Fault::Undefined { addr, hw: 0xDE00, hw2: None }),
@@ -1066,22 +1044,22 @@ impl Emu {
                 return Ok(StepOutcome::Stop { reason: StopReason::Svc(imm8), addr })
             }
             Instr::B { offset } => {
-                step.next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
-                step.branched = true;
+                next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
+                branched = true;
             }
             Instr::Bl { offset } => {
                 self.cpu.set_reg(Reg::LR, addr.wrapping_add(4) | 1);
-                step.next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
-                step.branched = true;
+                next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
+                branched = true;
             }
             Instr::BW { offset } => {
-                step.next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
-                step.branched = true;
+                next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
+                branched = true;
             }
             Instr::BCondW { cond, offset } => {
                 if cond.holds(self.cpu.flags) {
-                    step.next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
-                    step.branched = true;
+                    next_pc = addr.wrapping_add(4).wrapping_add(offset as u32);
+                    branched = true;
                 }
             }
             Instr::DpImm { op, s, rn, rd, imm12 } => {
@@ -1126,15 +1104,14 @@ impl Emu {
                 let base =
                     if rn == Reg::PC { addr.wrapping_add(4) & !3 } else { self.read_reg(rn, addr) };
                 let v = self.load(base.wrapping_add(u32::from(imm12)), Width::Word)?;
-                step.loads = 1;
                 if rt == Reg::PC {
                     // A load into PC is an interworking branch: bit 0
                     // must select Thumb state, exactly as BX.
                     if v & 1 == 0 {
                         return Err(Fault::InterworkArm { addr, target: v });
                     }
-                    step.next_pc = v & !1;
-                    step.branched = true;
+                    next_pc = v & !1;
+                    branched = true;
                 } else {
                     self.cpu.set_reg(rt, v);
                 }
@@ -1143,12 +1120,11 @@ impl Emu {
                 let a = self.read_reg(rn, addr).wrapping_add(u32::from(imm12));
                 let v = self.read_reg(rt, addr);
                 self.store(a, v, Width::Word)?;
-                step.stores = 1;
-                step.store = Some((a, v));
+                stored = Some((a, v));
             }
         }
-        self.pc = step.next_pc;
-        Ok(StepOutcome::Step(step))
+        self.pc = next_pc;
+        Ok(StepOutcome::Step(Step { instr, branched, store: stored }))
     }
 
     fn store(&mut self, addr: u32, value: u32, width: Width) -> Result<(), Fault> {

@@ -142,9 +142,15 @@ impl Region {
     fn mark(&mut self, i: usize) {
         let page = i >> PAGE_SHIFT;
         if self.dirty.is_empty() {
-            self.dirty = vec![0; self.data.len().div_ceil(PAGE_SIZE).div_ceil(64)];
+            self.alloc_dirty();
         }
         self.dirty[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Allocates the dirty bitmap: once per region, out of the store path.
+    #[cold]
+    fn alloc_dirty(&mut self) {
+        self.dirty = vec![0; self.data.len().div_ceil(PAGE_SIZE).div_ceil(64)];
     }
 
     /// Start offsets of the dirty pages, in address order.
@@ -514,10 +520,12 @@ impl Memory {
     }
 
     fn access(&mut self, addr: u32, len: u32, access: Access) -> Result<&mut Region, MemFault> {
+        // One compare per region: below the base the offset wraps past
+        // every region's end.
         let region = self
             .regions
             .iter_mut()
-            .find(|r| r.contains(addr) && r.contains(addr + (len - 1)))
+            .find(|r| addr.wrapping_sub(r.base) as usize + len as usize <= r.data.len())
             .ok_or(MemFault { addr, access, kind: FaultKind::Unmapped })?;
         let allowed = match access {
             Access::Read => region.perms.read,

@@ -158,14 +158,18 @@ impl Replay {
         self.sites.push(injection.addr);
     }
 
-    /// Returns to `fork`, taken in a trial of this replay.
+    /// Returns to `fork`, taken in a trial of this replay. Only the sites
+    /// of injections still armed there decode live: a spent one fires no
+    /// more, so its site dispatches from the table again.
     pub fn resume(&mut self, fork: &Fork) {
         self.emu.resume(&self.snap, fork);
         self.heal();
         for i in 0..self.emu.injections().len() {
-            let addr = self.emu.injections()[i].addr;
-            self.dispatch.invalidate_range(addr, 2);
-            self.sites.push(addr);
+            let injection = self.emu.injections()[i];
+            if injection.is_armed() {
+                self.dispatch.invalidate_range(injection.addr, 2);
+                self.sites.push(injection.addr);
+            }
         }
     }
 
@@ -192,22 +196,23 @@ impl Replay {
     /// next fetch (returning `false`, that fetch not yet made).
     #[inline]
     pub fn run(&mut self, trial: &mut Trial, mut pause: impl FnMut(&Replay, u64) -> bool) -> bool {
-        // A local copy keeps the trial in registers across the loop.
-        let mut t = *trial;
-        let ended = loop {
-            if t.ended() {
-                break true;
+        loop {
+            if trial.ended() {
+                return true;
             }
-            if pause(self, self.budget - t.left) {
-                break false;
+            if pause(self, self.budget - trial.left) {
+                return false;
             }
-            self.step(&mut t);
-        };
-        *trial = t;
-        ended
+            self.step(trial);
+        }
     }
 
-    /// [`Replay::run`] with no pause, settling a run that can only spin.
+    /// [`Replay::run`] with no pause: steps `trial` until it ends.
+    pub fn finish(&mut self, trial: &mut Trial) {
+        self.drive(trial, u64::MAX);
+    }
+
+    /// [`Replay::finish`], settling a run that can only spin.
     ///
     /// Brent's cycle detection looks for the run coming back to an earlier
     /// state ([`Emu::recurs`]: the same PC, CPU, load override and memory
@@ -217,11 +222,19 @@ impl Replay {
     /// it stops, faults and stores nothing it has not already. The trial
     /// skips as many whole periods as leave it a step to run, counting
     /// them in [`Trial::settled`] and the emulator's step count, and runs
-    /// the rest. It ends as `run` would: same end, watch flag and state.
+    /// the rest. It ends as `finish` would: same end, watch flag and state.
     pub fn run_settling(&mut self, trial: &mut Trial) {
+        self.drive(trial, SETTLE_FROM);
+    }
+
+    /// The step loop of [`Replay::finish`] and [`Replay::run_settling`],
+    /// with the first Brent mark `first_mark` steps in (`u64::MAX`: none).
+    /// Never inlined: it holds one copy of the instruction body for both.
+    #[inline(never)]
+    fn drive(&mut self, trial: &mut Trial, first_mark: u64) {
         let mut t = *trial;
         let mut mark: Option<(Fork, u64)> = None; // a state and its `left`
-        let (mut since, mut power) = (0u64, SETTLE_FROM);
+        let (mut since, mut power) = (0u64, first_mark);
         while !t.ended() {
             if since == power {
                 mark = Some((self.emu.fork(), t.left));
@@ -233,25 +246,32 @@ impl Replay {
                     t.left -= skip;
                     t.settled += skip;
                     self.emu.skip_steps(skip);
-                    break;
+                    // Settled: run the rest with no more marks.
+                    (mark, power) = (None, u64::MAX);
                 }
             }
             since += 1;
-            self.step(&mut t);
+            self.advance(&mut t);
         }
-        self.run(&mut t, |_, _| false);
         *trial = t;
     }
 
     /// Dispatches one step of `trial`, which must not have ended, then
-    /// slides on through any zero fill it entered.
-    #[inline]
+    /// slides on through any zero fill it entered. Never inlined: the
+    /// pausing [`Replay::run`] loops, one per pause predicate, share it.
+    #[inline(never)]
     pub fn step(&mut self, trial: &mut Trial) {
+        self.advance(trial);
+    }
+
+    /// The body of [`Replay::step`], inlined into each step loop.
+    #[inline(always)]
+    fn advance(&mut self, trial: &mut Trial) {
         trial.left -= 1;
         match self.emu.step_predecoded(&self.dispatch) {
             Ok(StepOutcome::Step(s)) => {
-                if self.watch.is_some() && s.store == self.watch {
-                    trial.watched = true;
+                if let Some(store) = s.store {
+                    trial.watched |= self.watch == Some(store);
                 }
                 if s.instr == ZERO_FILL {
                     let n = self.emu.slide(self.slide_limit(trial.left));
@@ -282,6 +302,53 @@ impl Replay {
             left.min((lo - pc) / 2)
         } else {
             0
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gd_thumb::Reg;
+
+    use super::*;
+    use crate::exec::{InjectKind, Persistence};
+    use crate::predecode::Slot;
+    use crate::Perms;
+
+    const BASE: u32 = 0x0800_0000;
+
+    /// A replay of four `adds r0, #1` and a `bkpt`, snapshotted at reset.
+    fn replay() -> Replay {
+        let src = "adds r0, #1\nadds r0, #1\nadds r0, #1\nadds r0, #1\nbkpt #0\n";
+        let prog = gd_thumb::asm::assemble(src, BASE).expect("assembles");
+        let boot = || {
+            let mut emu = Emu::new();
+            emu.mem.map_with_data("flash", BASE, prog.code.clone(), Perms::RX).expect("maps");
+            emu.set_pc(BASE);
+            emu
+        };
+        let table = PredecodedImage::from_bytes(BASE, &prog.code, Default::default());
+        Replay::new(boot, table, 100, None, |_| true)
+    }
+
+    /// A fork taken after the first fault at `BASE + 2` has fired once
+    /// (and the second, at `BASE + 6`, has not): on resume only the sites
+    /// of injections still armed decode live.
+    #[test]
+    fn resume_dispatches_spent_sites_from_the_table() {
+        for persistence in [Persistence::Transient, Persistence::Permanent] {
+            let mut replay = replay();
+            let skip = |addr| Injection::new(addr, InjectKind::Skip, persistence);
+            let mut trial = replay.arm([skip(BASE + 2), skip(BASE + 6)]);
+            assert!(!replay.run(&mut trial, |_, step| step == 2), "paused after the fault");
+            let fork = replay.emu().fork();
+            replay.resume(&fork);
+            let live = |replay: &Replay, addr| replay.dispatch.slot(addr) == Some(Slot::Live);
+            assert_eq!(live(&replay, BASE + 2), persistence == Persistence::Permanent);
+            assert!(live(&replay, BASE + 6), "an armed site decodes live");
+            replay.finish(&mut trial);
+            assert_eq!(trial.end, Some(Ok(StopReason::Bkpt(0))));
+            assert_eq!(replay.emu().cpu.reg(Reg::R0), 2, "both skips fired once");
         }
     }
 }

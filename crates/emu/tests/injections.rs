@@ -67,8 +67,8 @@ fn skip_steps_over_a_wide_instruction() {
     let steps_before = emu.steps();
     match emu.step() {
         Ok(StepOutcome::Step(s)) => {
-            assert_eq!(s.size, 4, "skip spans the whole 32-bit encoding");
-            assert_eq!(s.next_pc, BASE + 4);
+            assert!(!s.branched && s.store.is_none(), "a skip neither branches nor stores");
+            assert_eq!(emu.pc(), BASE + 4, "skip spans the whole 32-bit encoding");
         }
         other => panic!("expected a skipped step, got {other:?}"),
     }

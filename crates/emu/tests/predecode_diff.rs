@@ -1,10 +1,15 @@
 //! Differential tests pinning the predecoded dispatch path to the live
 //! interpreter: the micro-op table must agree with `Emu::decode` on every
-//! one of the 65,536 first-halfword patterns, and snapshot/restore must
-//! reproduce fresh-boot behavior exactly.
+//! one of the 65,536 first-halfword patterns, random programs must step
+//! identically on both paths, and snapshot/restore must reproduce
+//! fresh-boot behavior exactly.
 
-use gd_emu::{Config, Emu, Fault, Perms, PredecodedImage, RunOutcome, Slot, StopReason};
-use gd_thumb::is_32bit_prefix;
+use gd_emu::{
+    Config, Emu, Fault, LoadOverride, Perms, PredecodedImage, RunOutcome, Slot, StepOutcome,
+    StopReason,
+};
+use gd_exec::check::{cases, Rng};
+use gd_thumb::{is_32bit_prefix, Flags, Reg};
 
 const BASE: u32 = 0x0800_0000;
 /// A benign second halfword: pairs with every 32-bit prefix the ARMv6-M
@@ -270,4 +275,131 @@ fn load_spans_regions_and_faults_on_gap() {
     let fault = emu.mem.load(0x1006, &[9, 9, 9]).expect_err("runs off the map");
     assert_eq!(fault.addr, 0x1008);
     assert_eq!(emu.mem.peek(0x1006, 2).expect("mapped"), vec![9, 9], "prefix written");
+}
+
+const SRAM: u32 = 0x2000_0000;
+const SRAM_SIZE: u32 = 0x100;
+const FLASH_SIZE: u32 = 0x100;
+/// Steps each random program may run before the comparison ends.
+const LOCKSTEP_STEPS: usize = 200;
+
+/// Halfwords the random programs draw from besides uniform noise: stores
+/// of every width and addressing form, `push`/`stm`, loads (`ldrsb`,
+/// `ldrsh`, `ldm` and `pop {pc}` among them), ALU ops, compares,
+/// conditional and backward branches, `bx`/`blx`/`mov pc` to code, the
+/// zero fill, and three 32-bit prefixes (`bl`/`b.w`, `ldr.w`, `movw`)
+/// that pair with whatever halfword follows.
+const PALETTE: [u16; 35] = [
+    0x6008, 0x6048, 0x7011, 0x8051, 0x50D0, 0x52D0, 0x54D0, 0x9001, 0xB511, 0xC10D, 0x6808, 0x6848,
+    0x7810, 0x8850, 0x56D0, 0x5ED0, 0x9801, 0xCA01, 0xBD01, 0xBC01, 0x1C40, 0x4048, 0x4348, 0x2800,
+    0x4288, 0xD1F0, 0xDBF4, 0xE7F8, 0x4720, 0x47A0, 0x46A7, 0x0000, 0xF000, 0xF8D1, 0xF240,
+];
+
+/// A random image and register state: flash under a predecoded table
+/// (partly — the rest decodes live), and SRAM that `r1`, `r2` and `sp`
+/// point into, with small offsets in `r3` and `r5` and a code address in
+/// `r4`, so most stores land in mapped memory and most jumps in code.
+#[derive(Debug)]
+struct Program {
+    flash: Vec<u8>,
+    text_len: usize,
+    cfg: Config,
+    regs: [u32; 15],
+    flags: Flags,
+    load_override: Option<LoadOverride>,
+    pc: u32,
+}
+
+impl Program {
+    fn draw(rng: &mut Rng) -> Program {
+        let halfwords = (FLASH_SIZE / 2) as usize;
+        let flash = (0..halfwords)
+            .flat_map(|_| {
+                match rng.range(0, 8) {
+                    0 => rng.u16(),
+                    _ => *rng.choose(&PALETTE),
+                }
+                .to_le_bytes()
+            })
+            .collect();
+        let sram = |rng: &mut Rng| SRAM + 4 * rng.range(0, u64::from(SRAM_SIZE / 4)) as u32;
+        let code = |rng: &mut Rng| (BASE + 2 * rng.range(0, halfwords as u64) as u32) | 1;
+        let mut regs = [0; 15];
+        for (r, reg) in regs.iter_mut().enumerate() {
+            *reg = match r {
+                1 | 2 => sram(rng),
+                3 | 5 => 4 * rng.range(0, 8) as u32,
+                4 | 14 => code(rng),
+                13 => sram(rng) | 0x80,
+                _ => rng.u32(),
+            };
+        }
+        let load_override = match rng.range(0, 4) {
+            0 => Some(LoadOverride::Replace(rng.u32())),
+            1 => Some(LoadOverride::And(rng.u32())),
+            2 => Some(LoadOverride::Or(rng.u32())),
+            _ => None,
+        };
+        Program {
+            flash,
+            text_len: 2 * rng.usize(halfwords / 2, halfwords + 1),
+            cfg: Config { zero_is_invalid: rng.range(0, 4) == 0, wide: rng.bool() },
+            regs,
+            flags: Flags { n: rng.bool(), z: rng.bool(), c: rng.bool(), v: rng.bool() },
+            load_override,
+            pc: BASE + 2 * rng.range(0, halfwords as u64) as u32,
+        }
+    }
+
+    fn emu(&self) -> Emu {
+        let mut emu = Emu::with_config(self.cfg);
+        emu.mem.map_with_data("flash", BASE, self.flash.clone(), Perms::RX).expect("fresh map");
+        emu.mem.map("sram", SRAM, SRAM_SIZE, Perms::RW).expect("fresh map");
+        for (r, &v) in self.regs.iter().enumerate() {
+            emu.cpu.set_reg(Reg::new(r as u8).expect("r0-r14"), v);
+        }
+        emu.cpu.flags = self.flags;
+        emu.load_override = self.load_override;
+        emu.set_pc(self.pc);
+        emu
+    }
+}
+
+/// Steps one random program on the predecoded path and on `Emu::step` in
+/// lockstep, comparing after every step what either could get wrong.
+fn step_in_lockstep(rng: &mut Rng) {
+    let program = Program::draw(rng);
+    let image = PredecodedImage::from_bytes(BASE, &program.flash[..program.text_len], program.cfg);
+    let (mut fast, mut live) = (program.emu(), program.emu());
+    let sram = |emu: &Emu| emu.mem.region_at(SRAM).expect("mapped").data().to_vec();
+    for step in 0..LOCKSTEP_STEPS {
+        let fast_out = fast.step_predecoded(&image);
+        let live_out = live.step();
+        assert_eq!(
+            fast_out, live_out,
+            "step {step}: outcome (stop, fault, branched, store, instr)"
+        );
+        assert_eq!(fast.pc(), live.pc(), "step {step}: pc");
+        assert_eq!(fast.cpu, live.cpu, "step {step}: cpu");
+        assert_eq!(fast.steps(), live.steps(), "step {step}: step count");
+        assert_eq!(fast.load_override, live.load_override, "step {step}: load override");
+        assert_eq!(sram(&fast), sram(&live), "step {step}: sram");
+        if !matches!(live_out, Ok(StepOutcome::Step(_))) {
+            break;
+        }
+    }
+}
+
+/// Random programs step identically on the predecoded path (its inlined
+/// instruction body) and on the live interpreter.
+#[test]
+fn random_programs_step_identically_on_both_paths() {
+    cases(1000, "random_programs_step_identically_on_both_paths", step_in_lockstep);
+}
+
+/// The same property over many more programs.
+#[test]
+#[ignore = "long pass; run with --ignored"]
+fn random_programs_step_identically_on_both_paths_long() {
+    cases(200_000, "random_programs_step_identically_on_both_paths_long", step_in_lockstep);
 }

@@ -431,7 +431,7 @@ impl MultiFaultRunner {
     pub fn run_counted(&mut self, faults: &[FaultInstance]) -> (Outcome, PairSteps) {
         let start = self.replay.arm(faults.iter().map(FaultInstance::injection));
         let mut trial = start;
-        self.replay.run(&mut trial, |_, _| false);
+        self.replay.finish(&mut trial);
         (Self::classify(self.replay.emu(), &trial), PairSteps::run_since(&start, &trial))
     }
 
@@ -874,7 +874,7 @@ impl DivergenceRunner {
         let mut replay = replay(image, cfg, scope, watch);
         // One unfaulted replay pins the baseline the trials diverge from.
         let mut trial = replay.arm([]);
-        replay.run(&mut trial, |_, _| false);
+        replay.finish(&mut trial);
         let baseline = match trial.end {
             Some(Ok(reason)) => Baseline::Stop(reason, replay.emu().cpu.reg(Reg::R0)),
             Some(Err(f)) => panic!("unfaulted baseline faults: {f:?}"),
@@ -892,7 +892,7 @@ impl DivergenceRunner {
     /// baseline.
     pub fn run(&mut self, faults: &[FaultInstance]) -> Outcome {
         let mut trial = self.replay.arm(faults.iter().map(FaultInstance::injection));
-        self.replay.run(&mut trial, |_, _| false);
+        self.replay.finish(&mut trial);
         self.classify(self.replay.emu(), &trial)
     }
 

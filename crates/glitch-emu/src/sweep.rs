@@ -253,7 +253,7 @@ impl PerturbRunner {
     /// [`run_perturbed`] on the same inputs, per the differential tests.
     pub fn run(&mut self, hw: u16) -> Outcome {
         let mut trial = self.replay.poke(self.target_addr, hw);
-        self.replay.run(&mut trial, |_, _| false);
+        self.replay.finish(&mut trial);
         classify_trial(trial.end, self.replay.emu())
     }
 }

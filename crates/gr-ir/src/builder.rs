@@ -44,11 +44,6 @@ impl<'f> Builder<'f> {
         self.func
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.block
-    }
-
     /// Moves the insertion point to another block.
     pub fn switch_to(&mut self, block: BlockId) {
         self.block = block;
@@ -64,11 +59,6 @@ impl<'f> Builder<'f> {
     /// An `i32` constant.
     pub fn const_i32(&mut self, value: i64) -> ValueId {
         self.func.const_int(Ty::I32, value)
-    }
-
-    /// A constant of arbitrary integer type.
-    pub fn const_ty(&mut self, ty: Ty, value: i64) -> ValueId {
-        self.func.const_int(ty, value)
     }
 
     /// Binary operation (result type = lhs type).

@@ -410,11 +410,6 @@ impl Pipeline {
         self.trigger_cycles.clone_from(&snap.trigger_cycles);
         self.pending_fetch.clone_from(&snap.pending_fetch);
     }
-
-    /// Forgets past trigger events.
-    pub fn clear_trigger(&mut self) {
-        self.trigger_cycles.clear();
-    }
 }
 
 #[cfg(test)]

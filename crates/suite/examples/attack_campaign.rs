@@ -7,7 +7,7 @@
 //! ```
 
 use gd_chipwhisperer::{
-    find_reliable_params, run_attack, targets, AttackOutcome, AttackSpec, Device, FaultModel,
+    find_reliable_params, targets, AttackOutcome, AttackSpec, AttemptRunner, Device, FaultModel,
     SuccessCheck,
 };
 
@@ -34,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Replay: the tuned parameters keep working, like a productized exploit
     // (the XBOX reset glitch shipped with an auto-retry for the misses).
+    let mut runner = AttemptRunner::new(&device);
     let mut wins = 0;
     let trials = 50;
     for boot in 10_000..10_000 + trials {
-        let attempt = run_attack(&device, &model, params, boot, &spec, None);
-        if attempt.outcome == AttackOutcome::Success {
+        if runner.run(&model, params, boot, &spec, None) == AttackOutcome::Success {
             wins += 1;
         }
     }

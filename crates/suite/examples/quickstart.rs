@@ -6,7 +6,7 @@
 //! ```
 
 use gd_backend::compile;
-use gd_chipwhisperer::{run_attack, AttackSpec, Device, FaultModel, GlitchParams, SuccessCheck};
+use gd_chipwhisperer::{AttackSpec, AttemptRunner, Device, FaultModel, GlitchParams, SuccessCheck};
 use gd_ir::parse_module;
 use glitch_resistor::{harden, Config, Defenses};
 
@@ -55,12 +55,13 @@ open:
     // The delay defense writes its seed to flash at boot (~177k cycles), so
     // the budget must reach past the trigger into the guarded loop.
     let spec = AttackSpec { success: SuccessCheck::HaltWithR0(0xACCE55), max_cycles: 200_000 };
+    let mut runner = AttemptRunner::new(&device);
     let mut outcomes = std::collections::BTreeMap::<String, u32>::new();
     for boot in 0..2_000u64 {
         let cycle = ((boot % 25) * 4) as u32;
-        let attempt =
-            run_attack(&device, &model, GlitchParams::single(cycle, 12, -18), boot, &spec, None);
-        *outcomes.entry(format!("{:?}", attempt.outcome)).or_default() += 1;
+        let params = GlitchParams::single(cycle, 12, -18);
+        let outcome = runner.run(&model, params, boot, &spec, None);
+        *outcomes.entry(format!("{outcome:?}")).or_default() += 1;
     }
     println!("2,000 single-glitch attempts against the hardened guard:");
     for (outcome, count) in &outcomes {

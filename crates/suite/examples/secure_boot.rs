@@ -12,7 +12,7 @@
 
 use gd_backend::compile;
 use gd_chipwhisperer::{
-    full_grid, run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams,
+    full_grid, AttackOutcome, AttackSpec, AttemptRunner, Device, FaultModel, GlitchParams,
     SuccessCheck,
 };
 use gd_ir::parse_module;
@@ -70,6 +70,7 @@ spin:
 /// attacker won.
 fn campaign(device: &Device, model: &FaultModel, label: &str) {
     let spec = AttackSpec { success: SuccessCheck::HaltWithR0(0xACCE55), max_cycles: 200_000 };
+    let mut runner = AttemptRunner::new(device);
     let mut total = 0u64;
     let mut successes = 0u64;
     let mut detected = 0u64;
@@ -82,9 +83,7 @@ fn campaign(device: &Device, model: &FaultModel, label: &str) {
             if model.severity(w, o) == 0.0 {
                 continue;
             }
-            let attempt =
-                run_attack(device, model, GlitchParams::single(cycle, w, o), boot, &spec, None);
-            match attempt.outcome {
+            match runner.run(model, GlitchParams::single(cycle, w, o), boot, &spec, None) {
                 AttackOutcome::Success => successes += 1,
                 AttackOutcome::Detected => detected += 1,
                 _ => {}

@@ -85,7 +85,8 @@ pub use gd_campaign as campaign;
 pub mod prelude {
     pub use gd_backend::compile;
     pub use gd_chipwhisperer::{
-        run_attack, AttackOutcome, AttackSpec, Device, FaultModel, GlitchParams, SuccessCheck,
+        run_attack, AttackOutcome, AttackSpec, AttemptRunner, Device, FaultModel, GlitchParams,
+        SuccessCheck,
     };
     pub use gd_ir::{parse_module, print_module, verify_module};
     pub use gd_thumb::{Cond, Instr, Reg};

@@ -152,23 +152,10 @@ fn width_suffix(width: Width) -> &'static str {
 /// assert_eq!(lines[1], (2, "nop".to_owned()));
 /// ```
 pub fn disassemble(code: &[u8]) -> Vec<(u32, String)> {
-    disassemble_with(code, crate::decode::decode_bytes)
-}
-
-/// [`disassemble`] with the Thumb-2 wide subset enabled
-/// ([`decode_bytes_wide`](crate::decode::decode_bytes_wide)).
-pub fn disassemble_wide(code: &[u8]) -> Vec<(u32, String)> {
-    disassemble_with(code, crate::decode::decode_bytes_wide)
-}
-
-/// A decoder over a byte slice: the instruction and its size in bytes.
-type Decoder = fn(&[u8]) -> Result<(Instr, u32), crate::DecodeError>;
-
-fn disassemble_with(code: &[u8], decode: Decoder) -> Vec<(u32, String)> {
     let mut out = Vec::new();
     let mut offset = 0usize;
     while offset + 1 < code.len() {
-        match decode(&code[offset..]) {
+        match crate::decode::decode_bytes(&code[offset..]) {
             Ok((instr, size)) => {
                 out.push((offset as u32, instr.to_string()));
                 offset += size as usize;

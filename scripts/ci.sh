@@ -35,6 +35,13 @@ cargo test --offline -q
 echo "==> order-2 fork walk = reference over the full pair space"
 cargo test --release --offline -q -p gd-faultsim --test fork_walk -- --ignored
 
+# The predecoded dispatch, with its inlined instruction body, against
+# the live interpreter, stepped in lockstep over many random programs:
+# PC, CPU, step count, load override, outcome and SRAM after every step.
+# Tier-1 checks a thousand programs.
+echo "==> predecoded dispatch = interpreter over random programs"
+cargo test --release --offline -q -p gd-emu --test predecode_diff -- --ignored
+
 # The trial kernel against the interpreter over every live
 # representative of every fault model, on the boot image and the
 # ingested demo image: each faultsim trial must classify as one live
